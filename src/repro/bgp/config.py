@@ -33,7 +33,8 @@ class BgpConfig:
     mrai_mode:
         ``"per-prefix"`` (the paper's per-(destination, neighbor) timers —
         the default) or ``"per-peer"`` (one timer per neighbor shared by
-        every prefix; expiry flushes all held prefixes in one round).
+        every prefix; expiry re-derives the prefixes it held since that
+        peer's last release, in one round).
     batch_updates:
         Pack all same-instant updates toward one peer into a single
         :class:`~repro.bgp.messages.UpdateBatch` (RFC 4271-style NLRI +

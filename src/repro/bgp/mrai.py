@@ -21,9 +21,12 @@ Semantics implemented (RFC 1771 / SSFNET style):
 * While the timer runs, further advertisements it covers are held; when it
   expires the speaker re-derives the desired advertisement(s) from *current*
   state (so intermediate flaps collapse into one update) and, if something
-  must be sent, sends it and re-arms.  A per-peer expiry re-derives every
-  prefix under one :meth:`MraiManager.flush_window`, arming the shared timer
-  once for the whole round.
+  must be sent, sends it and re-arms.  A per-peer expiry re-derives only
+  the prefixes the timer held since the peer's last release
+  (:meth:`MraiManager.release_held`) — every other prefix already matches
+  what the peer was last sent — under one
+  :meth:`MraiManager.flush_window`, arming the shared timer once for the
+  whole round.
 * Withdrawals bypass the timer unless WRATE is enabled, in which case they
   are held exactly like advertisements.
 """
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 import random
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..engine import Scheduler, Timer
 from .messages import Prefix
@@ -107,6 +110,9 @@ class MraiManager:
         # at window exit if anything was sent.
         self._flushing: Set[int] = set()
         self._flush_sent: Set[int] = set()
+        # Per-peer mode: prefixes whose announcement (MRAI) or withdrawal
+        # (WRATE) was held since the peer's last release.
+        self._held: Dict[int, Set[Prefix]] = {}
 
     # ------------------------------------------------------------------
 
@@ -131,13 +137,32 @@ class MraiManager:
         return (peer, None) if self.per_peer else (peer, prefix)
 
     def can_send_now(self, peer: int, prefix: Prefix) -> bool:
-        """True when no MRAI hold is in effect for ``(peer, prefix)``."""
-        if not self.enabled:
+        """True when no MRAI hold is in effect for ``(peer, prefix)``.
+
+        In per-peer mode a held answer also records ``prefix`` for the
+        peer's next release (:meth:`release_held`).
+        """
+        if not self._interval > 0:
             return True
-        if self.per_peer and peer in self._flushing:
-            return True
-        timer = self._timers.get(self._key(peer, prefix))
+        if self._mode == MRAI_PER_PEER:
+            if peer in self._flushing:
+                return True
+            timer = self._timers.get((peer, None))
+            if timer is None or not timer.running:
+                return True
+            self.hold(peer, prefix)
+            return False
+        timer = self._timers.get((peer, prefix))
         return timer is None or not timer.running
+
+    def hold(self, peer: int, prefix: Prefix) -> None:
+        """Per-peer mode: have the peer's next expiry re-derive ``prefix``."""
+        self._held.setdefault(peer, set()).add(prefix)
+
+    def release_held(self, peer: int) -> List[Prefix]:
+        """The prefixes held toward ``peer`` since its last release, sorted;
+        the peer's held set starts over empty."""
+        return sorted(self._held.pop(peer, ()))
 
     def mark_sent(self, peer: int, prefix: Prefix) -> None:
         """Record that a rate-limited update was just sent; arm the timer."""
@@ -192,6 +217,7 @@ class MraiManager:
         """Drop all timers toward ``peer`` (session went down)."""
         self._flushing.discard(peer)
         self._flush_sent.discard(peer)
+        self._held.pop(peer, None)
         for (timer_peer, _prefix), timer in list(self._timers.items()):
             if timer_peer == peer:
                 timer.cancel()
@@ -200,6 +226,7 @@ class MraiManager:
         """Drop every timer (the router crashed)."""
         self._flushing.clear()
         self._flush_sent.clear()
+        self._held.clear()
         for timer in self._timers.values():
             timer.cancel()
 

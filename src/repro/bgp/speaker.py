@@ -361,6 +361,12 @@ class BgpSpeaker(Node):
         with self.mrai.flush_window(neighbor):
             for prefix in self.loc_rib.prefixes():
                 self._sync_peer(neighbor, prefix)
+        if self.mrai.per_peer:
+            # After a silent outage the peer may still hold routes we have
+            # since lost: the peer's next expiry withdraws them.
+            for prefix in self.adj_rib_out.advertised_prefixes(neighbor):
+                if prefix not in self.loc_rib:
+                    self.mrai.hold(neighbor, prefix)
 
     def on_session_reset(self, neighbor: int) -> None:
         """The TCP session to ``neighbor`` died; the physical link is fine.
@@ -771,19 +777,19 @@ class BgpSpeaker(Node):
             )
         if not self.link_is_up(peer):
             return
-        if prefix is not None:
-            self._sync_peer(peer, prefix)
+        if self.sessions is not None and not self.sessions.established(peer):
             return
-        # Per-peer timer: one expiry releases every held prefix.  The flush
-        # window lets each _sync_peer send while re-arming the shared timer
-        # exactly once at the end (and only if something went out).
-        held_prefixes = sorted(
-            set(self.loc_rib.prefixes())
-            | set(self.adj_rib_out.advertised_prefixes(peer))
-        )
+        if prefix is not None:
+            self._sync_eligible_peer(peer, prefix)
+            return
+        # Per-peer timer: one expiry releases every held prefix, in prefix
+        # order; any other prefix already matches what the peer was last
+        # sent.  The flush window lets each sync send while re-arming the
+        # shared timer exactly once at the end (and only if something went
+        # out).
         with self.mrai.flush_window(peer):
-            for held in held_prefixes:
-                self._sync_peer(peer, held)
+            for held in self.mrai.release_held(peer):
+                self._sync_eligible_peer(peer, held)
 
     # ------------------------------------------------------------------
     # Invariants (exercised by the test suite)

@@ -14,7 +14,6 @@ from .fib import (
     FibChangeLog,
     ForwardingGraph,
     MultiPrefixFib,
-    PrefixTrie,
 )
 from .packet import (
     DEFAULT_TTL,
@@ -49,7 +48,6 @@ __all__ = [
     "MultiPrefixFib",
     "PacketFate",
     "PacketForwarder",
-    "PrefixTrie",
     "TrafficMatrix",
     "TrafficMatrixEvaluator",
     "TrafficReport",

@@ -236,12 +236,6 @@ class FibChangeLog:
 # ----------------------------------------------------------------------
 
 
-PrefixTrie = RadixTrie
-"""Historical name for the LPM index; now the path-compressed
-:class:`~repro.prefixes.trie.RadixTrie` (same insert/remove/lookup/entries
-surface, O(branch points) nodes instead of one node per bit)."""
-
-
 class MultiPrefixFib:
     """Every node's forwarding table over a *population* of prefixes.
 

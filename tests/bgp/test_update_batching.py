@@ -15,13 +15,24 @@ import random
 
 import pytest
 
-from repro.bgp import AsPath, BgpConfig, MraiManager, UpdateBatch
+from repro.analysis.determinism import fingerprint_run
+from repro.bgp import AsPath, BgpConfig, BgpSpeaker, MraiManager, UpdateBatch
 from repro.bgp.mrai import MRAI_PER_PEER, MRAI_PER_PREFIX
 from repro.bgp.path import intern_path
+from repro.engine import RandomStreams, Scheduler
 from repro.errors import ConfigError
 from repro.experiments import RunSettings
 from repro.experiments.runner import run_experiment
-from repro.experiments.scenarios import tagg_clique, tdown_clique
+from repro.experiments.scenarios import (
+    EventKind,
+    Scenario,
+    tagg_clique,
+    tdown_clique,
+    tflap_bclique,
+    treset_clique,
+)
+from repro.net import Network
+from repro.topology import b_clique, chain
 
 
 def batch(**kwargs):
@@ -149,6 +160,7 @@ class TestPerPeerMrai:
             # Per-prefix mode: the send arms its own pair timer immediately.
             assert not mrai.can_send_now(1, "a")
             assert mrai.can_send_now(1, "b")
+        assert mrai.release_held(1) == []  # each pair's own timer re-derives it
 
     def test_cancel_peer_clears_flush_state(self, scheduler):
         expiries = []
@@ -160,6 +172,28 @@ class TestPerPeerMrai:
         assert mrai.can_send_now(1, "a")
         scheduler.run()
         assert expiries == []
+
+    def test_held_prefixes_released_sorted_once(self, scheduler):
+        mrai = make_per_peer(scheduler, [])
+        mrai.mark_sent(1, "a")
+        assert not mrai.can_send_now(1, "c")
+        assert not mrai.can_send_now(1, "b")
+        assert mrai.can_send_now(2, "d")  # unthrottled peer: nothing held
+        assert mrai.release_held(1) == ["b", "c"]
+        assert mrai.release_held(1) == []
+        assert mrai.release_held(2) == []
+
+    def test_cancel_peer_and_cancel_all_empty_the_held_set(self, scheduler):
+        mrai = make_per_peer(scheduler, [])
+        for peer in (1, 2):
+            mrai.mark_sent(peer, "a")
+            assert not mrai.can_send_now(peer, "b")
+        mrai.hold(3, "c")
+        mrai.cancel_peer(1)
+        assert mrai.release_held(1) == []
+        mrai.cancel_all()
+        assert mrai.release_held(2) == []
+        assert mrai.release_held(3) == []
 
 
 FAST = dict(mrai=2.0, processing_delay=(0.01, 0.05))
@@ -236,3 +270,134 @@ class TestBatchedRunEquivalence:
         assert run.converged
         for node_id in sorted(run.network.nodes):
             run.network.nodes[node_id].check_invariants()
+
+
+def whole_table_expiry(self, peer, prefix):
+    """The slow twin of ``BgpSpeaker._on_mrai_expiry``: a per-peer expiry
+    re-derives every Loc-RIB or advertised prefix, not just the held ones."""
+    if not self.link_is_up(peer):
+        return
+    if prefix is not None:
+        self._sync_peer(peer, prefix)
+        return
+    swept = sorted(
+        set(self.loc_rib.prefixes())
+        | set(self.adj_rib_out.advertised_prefixes(peer))
+    )
+    with self.mrai.flush_window(peer):
+        for each in swept:
+            self._sync_peer(peer, each)
+
+
+TWIN_SCENARIOS = {
+    "tagg": lambda: tagg_clique(4, prefixes=32, origins=2, hold=5.0),
+    "tdown": lambda: tdown_clique(5),
+    "tflap": lambda: tflap_bclique(4, period=5.0, count=2),
+    "treset": lambda: treset_clique(5),
+    # The crash of the core node on the B-Clique's edge link: survivors
+    # explore paths while the shared timers run, so prefixes are held.
+    "tcrash": lambda: Scenario(
+        name="tcrash-bclique-4",
+        topology=b_clique(4),
+        destination=0,
+        event=EventKind.TCRASH,
+        crash_node=4,
+        restart_after=10.0,
+    ),
+}
+ENHANCEMENTS = {
+    "plain": {},
+    "wrate": dict(wrate=True),
+    "ghost-flushing": dict(ghost_flushing=True),
+    "ssld": dict(ssld=True),
+    "assertion": dict(assertion=True),
+}
+SESSION_TIMERS = dict(hold_time=9.0, keepalive_interval=3.0)
+
+
+class TestHeldSetReleaseTwin:
+    """Releasing only the held prefixes at a per-peer expiry sends exactly
+    what the whole-table sweep sent: identical run digests."""
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["unbatched", "batched"])
+    @pytest.mark.parametrize("enhancement", sorted(ENHANCEMENTS))
+    @pytest.mark.parametrize("scenario", sorted(TWIN_SCENARIOS))
+    def test_digest_matches_whole_table_sweep(
+        self, monkeypatch, scenario, enhancement, batched
+    ):
+        # Unbatched Tagg with session timers exhausts the event budget in
+        # warm-up, so session timers ride along with batching only.
+        config = BgpConfig(
+            mrai_mode=MRAI_PER_PEER,
+            batch_updates=batched,
+            **FAST,
+            **ENHANCEMENTS[enhancement],
+            **(SESSION_TIMERS if batched else {}),
+        )
+        released = []
+        release_held = MraiManager.release_held
+
+        def counting_release(self, peer):
+            held = release_held(self, peer)
+            released.extend(held)
+            return held
+
+        for seed in (0, 1):
+            with monkeypatch.context() as patch:
+                patch.setattr(MraiManager, "release_held", counting_release)
+                fast = run_experiment(
+                    TWIN_SCENARIOS[scenario](), config, SETTINGS, seed=seed,
+                    keep_network=True,
+                )
+            with monkeypatch.context() as patch:
+                patch.setattr(BgpSpeaker, "_on_mrai_expiry", whole_table_expiry)
+                slow = run_experiment(
+                    TWIN_SCENARIOS[scenario](), config, SETTINGS, seed=seed,
+                    keep_network=True,
+                )
+            assert fingerprint_run(fast).digest == fingerprint_run(slow).digest
+        # Assertion leaves a clique Tdown nothing to explore: nothing is held.
+        if (scenario, enhancement) != ("tdown", "assertion"):
+            assert released
+
+    def test_silent_outage_withdrawal_is_held_for_the_next_expiry(self, monkeypatch):
+        """A route lost while the link was silently down is withdrawn at the
+        peer's next expiry after the restore, as the whole-table sweep did."""
+
+        def run(expiry):
+            with monkeypatch.context() as patch:
+                patch.setattr(BgpSpeaker, "_on_mrai_expiry", expiry)
+                config = BgpConfig(
+                    mrai=1.0, mrai_mode=MRAI_PER_PEER, **SESSION_TIMERS,
+                    processing_delay=FAST["processing_delay"],
+                )
+                scheduler = Scheduler()
+                streams = RandomStreams(4)
+                net = Network(
+                    chain(3),
+                    scheduler,
+                    lambda nid, sch: BgpSpeaker(
+                        nid, sch, config=config, streams=streams
+                    ),
+                )
+                net.node(0).originate("a")
+                net.node(0).originate("b")
+                net.start()
+                scheduler.run(until=30.0)
+                net.fail_link(1, 2, silent=True)
+                scheduler.run(until=31.0)
+                net.node(0).withdraw_origin("a")
+                scheduler.run(until=33.0)  # restored within the hold time
+                net.restore_link(1, 2)
+                net.node(0).originate("c")  # arms 1 -> 2's shared timer
+                scheduler.run(until=60.0)
+            trace = [
+                f"{record.time!r}|{record.src}|{record.dst}|{record.message!r}"
+                for record in net.trace
+            ]
+            return trace, net.node(2).best_route("a")
+
+        fast_trace, fast_route = run(BgpSpeaker._on_mrai_expiry)
+        slow_trace, slow_route = run(whole_table_expiry)
+        assert fast_route is slow_route is None
+        assert fast_trace == slow_trace

@@ -1,15 +1,17 @@
 """Property-based tests for longest-prefix-match FIB resolution.
 
-The trie in :mod:`repro.dataplane.fib` is checked against the brute-force
+The LPM index :class:`repro.prefixes.trie.RadixTrie` behind
+:mod:`repro.dataplane.fib` is checked against the brute-force
 linear scan :func:`repro.prefixes.longest_match` over random prefix
 populations, including the cover/specific shadowing transitions that
 aggregation and deaggregation events walk through.
 """
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from repro.dataplane import MultiPrefixFib, PrefixTrie
+from repro.dataplane import MultiPrefixFib
 from repro.prefixes import ADDRESS_SPACE, PrefixSpec, longest_match, parse_prefix
+from repro.prefixes.trie import RadixTrie
 
 # Canonical random prefixes: draw (value, length) and mask host bits.
 prefix_specs = st.builds(
@@ -23,9 +25,23 @@ prefix_specs = st.builds(
 addresses = st.integers(min_value=0, max_value=ADDRESS_SPACE - 1)
 
 
+DEFAULT_AND_HOSTS = [
+    PrefixSpec(0, 0),
+    PrefixSpec(0x0A000001, 32),
+    PrefixSpec(0xFFFFFFFF, 32),
+]
+TOP_OF_SPACE = [PrefixSpec(0xFFFFFF00, 24), PrefixSpec(0xFFFFFFFF, 32)]
+
+
 @given(st.lists(prefix_specs, max_size=40), addresses)
+@example(specs=DEFAULT_AND_HOSTS, address=0x0A000001)
+@example(specs=DEFAULT_AND_HOSTS, address=0x0A000002)  # falls back to /0
+@example(specs=DEFAULT_AND_HOSTS, address=0xFFFFFFFF)
+@example(specs=TOP_OF_SPACE, address=0xFFFFFFFE)
+@example(specs=TOP_OF_SPACE, address=0xFFFFFFFF)
+@example(specs=TOP_OF_SPACE, address=0xFFFFFEFF)
 def test_trie_lookup_agrees_with_brute_force(specs, address):
-    trie = PrefixTrie()
+    trie = RadixTrie()
     table = {}
     for payload, spec in enumerate(specs):
         trie.insert(spec, payload)
@@ -44,7 +60,7 @@ def test_trie_lookup_agrees_with_brute_force(specs, address):
 
 @given(st.lists(prefix_specs, min_size=1, max_size=30), st.data())
 def test_trie_removal_agrees_with_brute_force(specs, data):
-    trie = PrefixTrie()
+    trie = RadixTrie()
     table = {}
     for payload, spec in enumerate(specs):
         trie.insert(spec, payload)
@@ -113,6 +129,11 @@ def test_cover_specific_shadowing_through_deaggregation(raw, length, bits, data)
     # Fully re-aggregated: only the cover remains; it matches everywhere.
     for offset in (0, cover.size - 1):
         assert fib.resolve(node, cover.value + offset) == (str(cover), 100)
+    # Split again: the specifics' length, emptied above, is probed anew.
+    for i, spec in enumerate(specifics):
+        fib.set_entry(node, str(spec), 300 + i)
+        live[spec] = 300 + i
+        check()
 
 
 @given(st.lists(prefix_specs, max_size=20), addresses)

@@ -1,15 +1,15 @@
-"""Property-based tests for the path-compressed radix trie itself.
+"""Property-based tests for the per-length hash-table LPM index itself.
 
-:mod:`tests.property.test_lpm_properties` checks the trie through the
+:mod:`tests.property.test_lpm_properties` checks the index through the
 FIB's longest-prefix-match surface; this module targets the other two
 consumers of :class:`repro.prefixes.trie.RadixTrie` — containment
-(``covered``, the specifics-enumeration walk aggregation relies on) and
+(``covered``, the specifics enumeration aggregation relies on) and
 deterministic enumeration (``entries``) — against a brute-force dict
 oracle under randomized populations, plus the exact-match dict semantics
-(``insert`` replaces, ``remove`` clears, interior skeleton retained).
+(``insert`` replaces, ``remove`` clears, a length emptied and refilled).
 """
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.prefixes import ADDRESS_SPACE, PrefixSpec
 from repro.prefixes.trie import RadixTrie
@@ -33,7 +33,20 @@ def build(specs):
     return trie, table
 
 
+EDGE_POPULATION = [
+    PrefixSpec(0, 0),
+    PrefixSpec(0x0A000001, 32),
+    PrefixSpec(0xFFFFFF00, 24),
+    PrefixSpec(0xFFFFFF80, 25),
+    PrefixSpec(0xFFFFFFFF, 32),
+]
+
+
 @given(st.lists(prefix_specs, max_size=40), prefix_specs)
+@example(specs=EDGE_POPULATION, cover=PrefixSpec(0, 0))
+@example(specs=EDGE_POPULATION, cover=PrefixSpec(0xFFFFFF00, 24))  # ends at 2**32
+@example(specs=EDGE_POPULATION, cover=PrefixSpec(0xFFFFFFFF, 32))
+@example(specs=EDGE_POPULATION, cover=PrefixSpec(0x0A000000, 8))
 def test_covered_agrees_with_brute_force(specs, cover):
     trie, table = build(specs)
     expected = sorted(
@@ -95,10 +108,13 @@ def test_exact_match_tracks_dict_semantics(specs, data):
     st.integers(min_value=1, max_value=28),
     st.integers(min_value=1, max_value=4),
 )
+@example(raw=0xFFFFFF00, length=24, bits=4)  # the cover ends at 2**32
+@example(raw=0, length=28, bits=4)  # the specifics are /32 hosts
 def test_covered_walks_an_aggregation_block(raw, length, bits):
     """A cover plus its 2^k specifics: the walk sees cover-first order,
-    siblings of the cover stay invisible, and re-inserting after removal
-    reuses the retained skeleton without duplicating entries."""
+    siblings of the cover stay invisible, and removing every specific (the
+    last entries of their length) then re-inserting them restores both
+    the walk and longest-prefix match without duplicating entries."""
     cover = PrefixSpec(raw & PrefixSpec(0, length).network_mask, length)
     specifics = cover.split(bits)
     trie = RadixTrie()
@@ -113,12 +129,18 @@ def test_covered_walks_an_aggregation_block(raw, length, bits):
     for spec in specifics:
         assert trie.covered(spec) == [(spec, "specific")]
 
-    # Aggregation withdraws the specifics; the cover keeps matching and the
-    # retained interior skeleton must not leak phantom entries.
+    last = cover.value + cover.size - 1
+    assert trie.lookup(last) == (specifics[-1], "specific")
+
+    # Aggregation withdraws the specifics, emptying their length: the cover
+    # keeps matching and no phantom entry is left behind.
     for spec in specifics:
         assert trie.remove(spec)
     assert trie.covered(cover) == [(cover, "cover")]
-    for spec in specifics:  # deaggregate again onto the retained skeleton
+    assert trie.lookup(cover.value) == trie.lookup(last) == (cover, "cover")
+    for spec in specifics:  # deaggregate again: the length is probed anew
         trie.insert(spec, "specific")
     assert trie.covered(cover) == walked
     assert len(trie) == 1 + len(specifics)
+    assert trie.lookup(cover.value) == (specifics[0], "specific")
+    assert trie.lookup(last) == (specifics[-1], "specific")
