@@ -13,9 +13,10 @@ fails to converge is recorded with its diagnostic snapshot instead of
 aborting the study, and the table reports the per-point success count.
 
 Run directly — ``python benchmarks/bench_churn.py --jobs 4`` — the sweep
-fans trials out to worker processes and journals every finished point to
-``results/churn.points.jsonl``; an interrupted run resumes from the
-journal instead of repeating completed points (``--fresh`` starts over).
+fans trials out to worker processes and journals every finished trial to
+``results/churn.trials.jsonl`` (:func:`repro.experiments.checkpointed_sweep`);
+an interrupted run resumes from the journal instead of repeating
+completed trials (``--fresh`` starts over).
 
 With ``--output PATH`` the script instead times the sequential sweep per
 flap period (median of ``--repeat``) and emits the ``compare_baselines.py``
@@ -27,12 +28,13 @@ continuous-bench scheduler can gate it against
 import statistics
 import time
 
-from _support import RESULTS_DIR, checkpointed_sweep
+from _support import RESULTS_DIR
 
 from repro.bgp import BgpConfig
 from repro.experiments import (
     RunSettings,
     bclique_tflap_trial,
+    checkpointed_sweep,
     constant_config,
     factory_ref,
     failures_of,
@@ -195,10 +197,10 @@ if __name__ == "__main__":
         raise SystemExit(0)
 
     records = checkpointed_sweep(
-        "churn",
         PERIODS,
         MAKE_SCENARIO,
         MAKE_CONFIG,
+        journal=RESULTS_DIR / "churn.trials.jsonl",
         seeds=SEEDS,
         settings=SETTINGS,
         jobs=args.jobs,

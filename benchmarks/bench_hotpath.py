@@ -43,7 +43,6 @@ from functools import partial  # noqa: E402
 
 from repro.bgp import BgpConfig  # noqa: E402
 from repro.experiments import (  # noqa: E402
-    ResiliencePolicy,
     RunSettings,
     TrialTask,
     run_trial_resilient,
@@ -95,16 +94,14 @@ def run_scenario(
 ) -> Dict[str, object]:
     """Median-of-``repeat`` timing for one named scenario.
 
-    By default trials run through the resilient in-process path
-    (:func:`repro.experiments.run_trial_resilient` under a default
-    :class:`~repro.experiments.ResiliencePolicy`) — the same code every
-    resilient sweep takes per trial, so this benchmark gates its
+    By default trials run through the in-process path
+    (:func:`repro.experiments.run_trial_resilient`) — the same code every
+    ``jobs=1`` sweep takes per trial, so this benchmark gates its
     overhead; ``raw=True`` times a bare
     :func:`~repro.experiments.runner.run_experiment` instead.  CI runs
     both and asserts the resilient path costs < 5 %.
     """
     build = SCENARIOS[name]
-    policy = ResiliencePolicy()
     samples = []
     updates = 0
     scenario_name = ""
@@ -125,7 +122,7 @@ def run_scenario(
                 settings=RunSettings(),
             )
             start = time.perf_counter()
-            run = run_trial_resilient(task, policy)
+            run = run_trial_resilient(task)
             samples.append(time.perf_counter() - start)
         updates = run.result.convergence.update_count
     wall = statistics.median(samples)

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
@@ -156,8 +154,8 @@ def fingerprint_once(
     settings: RunSettings,
     seed: int,
 ) -> RunFingerprint:
-    """One run reduced to its fingerprint; module-level so pool workers
-    can execute repetitions of a parallel determinism check."""
+    """One run reduced to its fingerprint; module-level so worker
+    processes can execute repetitions of a parallel determinism check."""
     run = run_experiment(
         scenario, config, settings=settings, seed=seed, keep_network=True
     )
@@ -175,7 +173,7 @@ def _constant_config(x: float, config: BgpConfig = None) -> BgpConfig:
 
 
 def _fingerprint_worker(task) -> RunFingerprint:
-    """Supervised-executor worker: one repetition reduced to its digest."""
+    """Worker entry point: one repetition reduced to its digest."""
     scenario = task.make_scenario(task.x, task.seed)
     config = task.make_config(task.x)
     return fingerprint_once(scenario, config, task.settings, task.seed)
@@ -198,36 +196,36 @@ def check_determinism(
 
     ``jobs > 1`` (or ``0`` for one per CPU) strengthens the check: run 0
     executes in *this* process — the sequential baseline — while the
-    remaining repetitions execute in pool worker processes.  Identical
-    digests then certify that a trial is bit-identical whether it runs
-    in-process or in a parallel-sweep worker, which is exactly the
-    guarantee ``sweep(..., jobs=N)`` relies on.
+    remaining repetitions execute in worker processes of the supervised
+    executor that runs every parallel sweep.  Identical digests then
+    certify that a trial is bit-identical whether it runs in-process or
+    in a sweep worker, which is exactly the guarantee
+    ``sweep(..., jobs=N)`` relies on.
 
-    ``policy`` (with ``jobs > 1``) runs the worker repetitions under the
-    supervised resilient executor instead of a bare pool: a worker killed
+    ``policy`` governs those workers as it does a sweep's: a worker killed
     mid-repetition is restarted and retried per the policy, and the
     digests must *still* match the in-process baseline — the strongest
     form of the retries-don't-perturb-determinism guarantee.  A
     repetition that exhausts its retries raises its final error (a
     determinism check cannot compare digests it never got).
     """
+    from ..experiments.sweep import _resolve_jobs
+
     if runs < 2:
         raise AnalysisError(f"a determinism check needs >= 2 runs, got {runs}")
-    if jobs == 0:
-        jobs = os.cpu_count() or 1
-    if jobs < 0:
-        raise AnalysisError(f"jobs must be >= 0 (0 = one per CPU), got {jobs}")
-    fingerprints: List[RunFingerprint] = []
+    jobs = _resolve_jobs(jobs)
+    fingerprints: List[RunFingerprint] = [
+        fingerprint_once(scenario, config, settings, seed)
+    ]
     if jobs == 1:
-        for _ in range(runs):
+        for _ in range(runs - 1):
             fingerprints.append(
                 fingerprint_once(scenario, config, settings, seed)
             )
-    elif policy is not None:
+    else:
         from ..experiments.resilience import run_tasks_supervised
         from ..experiments.sweep import TrialFailure, TrialTask
 
-        fingerprints.append(fingerprint_once(scenario, config, settings, seed))
         tasks = [
             TrialTask(
                 index=index,
@@ -249,15 +247,6 @@ def check_determinism(
             if isinstance(outcome, TrialFailure):
                 raise outcome.error
             fingerprints.append(outcome)
-    else:
-        fingerprints.append(fingerprint_once(scenario, config, settings, seed))
-        with ProcessPoolExecutor(max_workers=min(jobs, runs - 1)) as pool:
-            futures = [
-                pool.submit(fingerprint_once, scenario, config, settings, seed)
-                for _ in range(runs - 1)
-            ]
-            for future in futures:
-                fingerprints.append(future.result())
     return DeterminismReport(
         scenario_name=scenario.name,
         seed=seed,

@@ -75,8 +75,7 @@ class AdjRibIn:
     mutation on a shared group copies it first (copy-on-write) and then
     re-merges with any existing group its new signature matches.  Stored
     routes are materialized on read through the :func:`~repro.bgp.route.
-    intern_route` table, so reads hand back the canonical shared instances
-    (``learned_at`` is normalized to ``0.0`` — it is diagnostics-only).
+    intern_route` table, so reads hand back the canonical shared instances.
 
     Sharing is enabled only when the preference key is known to be
     **prefix-independent** — the base

@@ -14,13 +14,9 @@ obtains routes through :func:`intern_route` / :meth:`Route.of`; direct
 ``Route(...)`` construction stays valid (tests, ad-hoc analysis) and
 compares equal to its canonical twin, it just does not share storage.
 
-Interned routes always carry ``learned_at == 0.0`` — the field is
-diagnostics-only (``compare=False``, outside every digest), and folding it
-into the key would defeat sharing entirely.  Pickle support re-interns on
-load (:meth:`Route.__reduce__`), so routes crossing a process boundary —
-parallel sweep workers — land in the worker's own table and keep the
-identity fast path; a direct-constructed route with a non-zero
-``learned_at`` round-trips its timestamp un-interned.
+Pickle support re-interns on load (:meth:`Route.__reduce__`), so routes
+crossing a process boundary — parallel sweep workers — land in the
+worker's own table and keep the identity fast path.
 """
 
 from __future__ import annotations
@@ -55,17 +51,12 @@ class Route:
         Policy preference; higher wins (standard BGP semantics).  The
         paper's experiments leave every route at the default, making the
         decision purely shortest-path.
-    learned_at:
-        Simulation time the route entered the RIB (diagnostics only; not
-        part of equality so RIB comparisons stay value-based).  Always
-        ``0.0`` on interned routes.
     """
 
     prefix: Prefix
     path: AsPath
     next_hop: Optional[int]
     local_pref: int = DEFAULT_LOCAL_PREF
-    learned_at: float = field(default=0.0, compare=False)
     _hash: int = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self) -> None:
@@ -85,7 +76,6 @@ class Route:
         if self is other:
             return True
         if isinstance(other, Route):
-            # learned_at deliberately excluded (diagnostics only).
             return (
                 self.prefix == other.prefix
                 and self.local_pref == other.local_pref
@@ -98,11 +88,10 @@ class Route:
         return self._hash
 
     def __reduce__(self):
-        # Unpickling re-interns (sweep workers rebuild their own table);
-        # a non-zero learned_at survives as a direct instance.
+        # Unpickling re-interns (sweep workers rebuild their own table).
         return (
             _unpickle_route,
-            (self.prefix, self.path.ases, self.next_hop, self.local_pref, self.learned_at),
+            (self.prefix, self.path.ases, self.next_hop, self.local_pref),
         )
 
     @property
@@ -174,18 +163,9 @@ def _unpickle_route(
     ases: Tuple[int, ...],
     next_hop: Optional[int],
     local_pref: int,
-    learned_at: float,
 ) -> Route:
     """Pickle re-entry point (see :meth:`Route.__reduce__`)."""
-    if learned_at == 0.0:
-        return intern_route(prefix, AsPath.of(ases), next_hop, local_pref)
-    return Route(
-        prefix=prefix,
-        path=AsPath.of(ases),
-        next_hop=next_hop,
-        local_pref=local_pref,
-        learned_at=learned_at,
-    )
+    return intern_route(prefix, AsPath.of(ases), next_hop, local_pref)
 
 
 def route_intern_table_size() -> int:
@@ -193,17 +173,10 @@ def route_intern_table_size() -> int:
     return len(_INTERN_TABLE)
 
 
-def local_route(prefix: Prefix, learned_at: float = 0.0) -> Route:
+def local_route(prefix: Prefix) -> Route:
     """The route a speaker installs when it originates ``prefix``.
 
-    The default (timestamp-free) form is interned — it is rebuilt on every
-    decision-process pass for an originated prefix, so the dict hit matters.
+    Interned — it is rebuilt on every decision-process pass for an
+    originated prefix, so the dict hit matters.
     """
-    if learned_at == 0.0:
-        return intern_route(prefix, AsPath.empty(), LOCAL_NEXT_HOP)
-    return Route(
-        prefix=prefix,
-        path=AsPath.empty(),
-        next_hop=LOCAL_NEXT_HOP,
-        learned_at=learned_at,
-    )
+    return intern_route(prefix, AsPath.empty(), LOCAL_NEXT_HOP)

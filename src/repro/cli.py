@@ -23,7 +23,7 @@ Service subcommands (the always-on sweep job service)::
 Also reachable as ``python -m repro``.  Every command is deterministic for
 a given ``--seed`` — and ``repro determinism`` proves it.  ``figure``,
 ``sweep``, and ``determinism`` accept ``--retries``/``--trial-timeout`` to
-run their parallel trials under the resilient supervised executor (worker
+make their parallel trials survive worker death and hangs (worker
 restarts, watchdog timeouts, retry with backoff — results unchanged).
 The service verbs wrap the same machinery: a sweep submitted to the
 daemon produces bit-identical per-trial digests to the equivalent
@@ -140,22 +140,22 @@ def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
         "--retries", type=int, default=None, metavar="N",
         help=(
             "retry trials lost to worker death or timeout up to N times "
-            "with capped, deterministically-jittered backoff (enables the "
-            "supervised executor)"
+            "with capped, deterministically-jittered backoff (default: no "
+            "retries; a lost worker aborts the run)"
         ),
     )
     parser.add_argument(
         "--trial-timeout", type=float, default=None, metavar="SECONDS",
         help=(
             "kill and retry any single trial running longer than this "
-            "(supervised executor; needs --jobs > 1 to preempt)"
+            "(needs --jobs > 1 to preempt)"
         ),
     )
 
 
 def _policy_of(args):
-    """A :class:`ResiliencePolicy` from CLI flags, or ``None`` when the
-    resilience flags were not used (legacy executors)."""
+    """A :class:`ResiliencePolicy` from CLI flags, or ``None`` (the
+    executor's default policy) when the resilience flags were not used."""
     retries = getattr(args, "retries", None)
     trial_timeout = getattr(args, "trial_timeout", None)
     if retries is None and trial_timeout is None:

@@ -1,35 +1,39 @@
-"""Resilient sweep execution: supervision, timeouts, and retry with backoff.
+"""Parallel sweep execution: supervised workers, timeouts, retry with backoff.
 
-The parallel sweep executor (PR 3) assumed a well-behaved pool: a worker
-OOM-killed mid-trial raised ``BrokenProcessPool`` out of the whole sweep
-and discarded every completed trial, and a hung trial held its worker
-forever.  Fleet-scale runs (the ROADMAP's always-on sweep service,
-Internet-scale trials) make those events routine, so this module replaces
-the anonymous pool with a *supervised* executor:
+:func:`run_tasks_supervised` is the only parallel executor: every
+``jobs > 1`` sweep and cross-process determinism check runs on it.
 
-* **one worker process per in-flight trial**, connected by its own pipe,
-  so the supervisor always knows exactly which PID runs which
-  :class:`~repro.experiments.sweep.TrialTask`;
-* **worker death** (killed PID, crash, nonzero exit) loses only that one
-  in-flight trial — the supervisor spawns a replacement and re-submits
-  the identical task, never the finished ones;
+* **one long-lived worker process per slot**, connected by its own
+  duplex pipe.  A worker loops "receive task, run it, send the outcome"
+  until it gets the stop sentinel, so process start-up is paid once per
+  slot rather than once per trial, and the supervisor always knows which
+  PID runs which :class:`~repro.experiments.sweep.TrialTask`;
+* **worker death** (killed PID, crash, nonzero exit) loses only that
+  worker's in-flight trial: the supervisor reaps it, starts a
+  replacement, and re-submits that one task, never the finished ones;
 * **per-trial wall-clock timeouts**: a harness-side watchdog kills the
   worker of any trial that exceeds ``policy.trial_timeout`` and converts
   the hang into a :class:`~repro.errors.TrialTimeoutError`;
 * **retry with capped exponential backoff** and *deterministic seeded
   jitter* for the transient failure kinds (death, timeout).  A retry
-  re-runs the identical ``TrialTask`` in a fresh process, so a retried
-  trial's digest is bit-identical to an undisturbed run — resilience
-  never perturbs ``digests=True`` equivalence.
+  re-runs the identical ``TrialTask``, so a retried trial's digest is
+  bit-identical to an undisturbed run — resilience never perturbs
+  ``digests=True`` equivalence;
+* **no orphans**: an idle worker checks that its supervisor is still
+  its parent while it waits for the next task, so workers exit shortly
+  after a ``kill -9`` of the supervisor instead of holding inherited
+  pipes and journal locks open.
+
+Without an explicit policy the executor runs under
+:data:`DEFAULT_POLICY`: no retries, and a lost worker aborts the sweep
+with :class:`~repro.errors.WorkerCrashError`.
 
 Retry/timeout/restart counts are accumulated in a
 :class:`~repro.telemetry.registry.MetricsRegistry` and surfaced as a
 :class:`SupervisionReport`, returned by :func:`run_tasks_supervised` and
 threaded to callers through ``sweep(..., on_report=...)`` — one report
-per supervised sweep, owned by that sweep's caller, so a daemon running
-many concurrent sweeps never sees another job's counters.  (The older
-process-wide :func:`last_report` accessor survives as a deprecated
-shim.)
+per sweep, owned by that sweep's caller, so a daemon running many
+concurrent sweeps never sees another job's counters.
 
 Determinism boundary: this file is harness-side supervision *about* the
 simulation, never inside it — like :mod:`repro.telemetry.profiler` it is
@@ -44,6 +48,7 @@ from __future__ import annotations
 
 import multiprocessing
 import multiprocessing.connection
+import os
 import random
 import time
 from dataclasses import dataclass, field, replace
@@ -60,13 +65,13 @@ from ..telemetry.registry import MetricsRegistry, MetricsSnapshot
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (annotation only)
     from .sweep import ProgressCallback, TrialTask
 
-#: Supervisor poll tick (seconds): the upper bound on how stale the
-#: watchdog's view of worker liveness/deadlines can be.
+#: Poll tick (seconds): the upper bound on how stale the watchdog's view
+#: of worker liveness/deadlines can be, and on how long an idle worker
+#: outlives a killed supervisor.
 _TICK = 0.05
 
-#: Exit code a worker reports when it finished its trial and shipped the
-#: outcome; anything else (or a signal death) is a worker crash.
-_CLEAN_EXIT = 0
+#: Seconds a stopping worker gets to exit before it is killed.
+_STOP_GRACE = 5.0
 
 
 @dataclass(frozen=True)
@@ -156,6 +161,11 @@ class ResiliencePolicy:
         return base * (1.0 + self.jitter * stream.random())
 
 
+#: The policy behind ``policy=None``: no retries, and a trial whose worker
+#: dies aborts the run with :class:`~repro.errors.WorkerCrashError`.
+DEFAULT_POLICY = ResiliencePolicy(max_retries=0, on_exhausted="raise")
+
+
 @dataclass(frozen=True)
 class SupervisionReport:
     """What the supervised executor observed during one sweep.
@@ -207,60 +217,43 @@ class SupervisionReport:
         )
 
 
-#: Deprecated: the most recent supervised run's report, per process.
-#: Kept only so :func:`last_report` keeps answering; new code receives
-#: reports through ``sweep(..., on_report=...)`` /
-#: :func:`run_tasks_supervised`'s return value instead — a process-wide
-#: global is wrong once one daemon runs many concurrent sweeps.
-_LAST_REPORT: Optional[SupervisionReport] = None
-
-
-def last_report() -> Optional[SupervisionReport]:
-    """Deprecated: the report of the most recent supervised sweep in this
-    process (``None`` before the first one).
-
-    .. deprecated::
-        Process-global state cannot distinguish concurrent sweeps (the
-        service daemon runs many).  Pass ``on_report=`` to
-        :func:`~repro.experiments.sweep.sweep` /
-        :func:`~repro.experiments.journal.checkpointed_sweep`, or use the
-        report returned by :func:`run_tasks_supervised`.
-    """
-    import warnings
-
-    warnings.warn(
-        "last_report() is deprecated: receive SupervisionReports through "
-        "sweep(..., on_report=...) or run_tasks_supervised()'s return "
-        "value instead of process-global state",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _LAST_REPORT
-
-
-def _publish_report(report: SupervisionReport) -> None:
-    global _LAST_REPORT
-    _LAST_REPORT = report
-
-
 def _mp_context():
-    """Prefer ``fork`` (cheap per-trial workers, inherited imports); fall
-    back to the platform default where fork is unavailable."""
+    """Prefer ``fork`` (cheap worker start, inherited imports); fall back
+    to the platform default where fork is unavailable."""
     methods = multiprocessing.get_all_start_methods()
     if "fork" in methods:
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()
 
 
-def _supervised_child(conn, worker_fn, task) -> None:
-    """Worker-process body: run one task, ship the outcome, exit clean.
+def _worker_main(conn, worker_fn, supervisor_pid: int, inherited) -> None:
+    """Worker-process body: run tasks from ``conn`` until told to stop.
 
-    Everything — including non-isolated errors like ``SanitizerError`` —
-    goes back through the pipe so the supervisor can distinguish "the
-    trial raised" from "the worker died".  An outcome that cannot be
-    pickled is downgraded to a transportable error.
+    ``None`` (or EOF) is the stop sentinel.  Everything a task produces —
+    including non-isolated errors like ``SanitizerError`` — goes back
+    through the pipe so the supervisor can distinguish "the trial raised"
+    from "the worker died".  An outcome that cannot be pickled is
+    downgraded to a transportable error.
+
+    A forked worker holds copies of whatever the supervisor had open,
+    such as a journal's ``flock``, so it must not outlive the supervisor.
+    It closes its copies of the siblings' pipe ends (``inherited``), so a
+    worker whose supervisor died gets EPIPE instead of blocking on a full
+    pipe nobody reads, and while idle it checks that the supervisor is
+    still its parent and exits once it is not.
     """
-    try:
+    for other in inherited:
+        other.close()
+    while True:
+        while not conn.poll(_TICK):
+            if os.getppid() != supervisor_pid:
+                return
+        try:
+            task = conn.recv()
+        except (EOFError, OSError):
+            return
+        if task is None:
+            return
         try:
             payload = ("ok", worker_fn(task))
         except BaseException as exc:  # noqa: BLE001 - ferried to supervisor
@@ -277,20 +270,18 @@ def _supervised_child(conn, worker_fn, task) -> None:
                     ),
                 )
             )
-    finally:
-        conn.close()
 
 
 @dataclass
-class _Slot:
-    """One live worker: its process, pipe, task, and deadlines."""
+class _Worker:
+    """One live worker: its process, pipe, and in-flight task (if any)."""
 
     process: multiprocessing.Process
     conn: multiprocessing.connection.Connection
-    task: "TrialTask"
-    attempt: int
-    started: float
-    deadline: Optional[float]
+    task: Optional["TrialTask"] = None
+    attempt: int = 0
+    started: float = 0.0
+    deadline: Optional[float] = None
 
 
 @dataclass
@@ -330,33 +321,30 @@ def _drain(conn):
         return "died"
 
 
-def _reap(slot: _Slot) -> None:
-    """Join a finished/killed worker (hard-kill stragglers) and close up."""
-    slot.process.join(timeout=5.0)
-    if slot.process.is_alive():  # pragma: no cover - defensive
-        slot.process.kill()
-        slot.process.join(timeout=5.0)
-    try:
-        slot.conn.close()
-    except OSError:  # pragma: no cover - already closed
-        pass
+def _stop_workers(workers: List[_Worker], graceful: bool) -> None:
+    """Stop every worker; never raises.
 
-
-def _kill_slots(slots: List[_Slot]) -> None:
-    """Hard-stop every live worker (abort path); never raises."""
-    for slot in slots:
+    ``graceful`` sends the stop sentinel and lets idle workers exit on
+    their own; otherwise (the abort path) every worker is killed.
+    """
+    for worker in workers:
         try:
-            if slot.process.is_alive():
-                slot.process.kill()
+            if graceful and worker.task is None:
+                worker.conn.send(None)
+            else:
+                worker.process.kill()
         except Exception:
             pass
-    for slot in slots:
+    for worker in workers:
         try:
-            slot.process.join(timeout=5.0)
+            worker.process.join(timeout=_STOP_GRACE)
+            if worker.process.is_alive():
+                worker.process.kill()
+                worker.process.join(timeout=_STOP_GRACE)
         except Exception:
             pass
         try:
-            slot.conn.close()
+            worker.conn.close()
         except Exception:
             pass
 
@@ -382,26 +370,28 @@ def _exhausted_failure(task: "TrialTask", error, attempt: int, elapsed: float):
 def run_tasks_supervised(
     tasks: Sequence["TrialTask"],
     jobs: int,
-    policy: ResiliencePolicy,
+    policy: Optional[ResiliencePolicy] = None,
     worker_fn: Optional[Callable] = None,
     on_progress: Optional["ProgressCallback"] = None,
 ) -> Tuple[Dict[int, object], SupervisionReport]:
-    """Run every task to a final outcome under supervision.
+    """Run every task to a final outcome on at most ``jobs`` workers.
 
     Returns ``(outcomes keyed by task index, report)``.  Outcomes are
     whatever ``worker_fn`` returned (:class:`~repro.experiments.sweep.
     TrialOutcome` for sweeps) or, for trials whose transient failures
     exhausted the retry budget under ``on_exhausted="record"``, a
     :class:`~repro.experiments.sweep.TrialFailure` /
-    :class:`~repro.experiments.sweep.TrialTimeout`.
+    :class:`~repro.experiments.sweep.TrialTimeout`.  ``policy=None``
+    means :data:`DEFAULT_POLICY`.
 
     A worker that *reports* an exception (rather than dying) aborts the
     whole run — that path carries non-isolated errors such as
-    :class:`~repro.errors.SanitizerError`, exactly as the unsupervised
-    executor propagates them.
+    :class:`~repro.errors.SanitizerError`.
     """
     from .sweep import TrialFailure, TrialProgress, run_trial
 
+    if policy is None:
+        policy = DEFAULT_POLICY
     if worker_fn is None:
         worker_fn = run_trial
     if not tasks:
@@ -414,70 +404,82 @@ def run_tasks_supervised(
     pending: List[Tuple["TrialTask", int]] = [(task, 1) for task in tasks]
     #: (ready_at, task, attempt) sitting out a backoff cooldown.
     cooling: List[Tuple[float, "TrialTask", int]] = []
-    slots: List[_Slot] = []
+    workers: List[_Worker] = []
 
-    def spawn(task: "TrialTask", attempt: int) -> None:
-        parent_conn, child_conn = context.Pipe(duplex=False)
+    def spawn() -> _Worker:
+        parent_conn, child_conn = context.Pipe()
         process = context.Process(
-            target=_supervised_child,
-            args=(child_conn, worker_fn, task),
-            name=f"repro-trial-{task.index}-a{attempt}",
+            target=_worker_main,
+            args=(
+                child_conn,
+                worker_fn,
+                os.getpid(),
+                [worker.conn for worker in workers],
+            ),
+            name=f"repro-worker-{len(workers)}",
         )
         process.start()
         child_conn.close()
+        worker = _Worker(process=process, conn=parent_conn)
+        workers.append(worker)
+        return worker
+
+    def retire(worker: _Worker) -> None:
+        """Drop a dead or timed-out worker, killing it if still alive."""
+        workers.remove(worker)
+        _stop_workers([worker], graceful=False)
+
+    def dispatch(worker: _Worker, task: "TrialTask", attempt: int) -> bool:
+        """Hand ``task`` to an idle worker; False if the worker is gone."""
+        try:
+            worker.conn.send(task)
+        except (BrokenPipeError, ConnectionResetError):
+            # Died while idle: no trial was lost, only the process.
+            retire(worker)
+            counters.bump("worker_deaths")
+            return False
         now = time.monotonic()
-        deadline = (
+        worker.task = task
+        worker.attempt = attempt
+        worker.started = now
+        worker.deadline = (
             now + policy.trial_timeout
             if policy.trial_timeout is not None
             else None
         )
-        slots.append(
-            _Slot(
-                process=process,
-                conn=parent_conn,
-                task=task,
-                attempt=attempt,
-                started=now,
-                deadline=deadline,
-            )
-        )
+        return True
 
-    def finish(slot: _Slot, outcome: object) -> None:
-        outcomes[slot.task.index] = outcome
+    def finish(task: "TrialTask", outcome: object) -> None:
+        outcomes[task.index] = outcome
         counters.bump("completed")
         if on_progress is not None:
             on_progress(
                 TrialProgress(
                     done=len(outcomes),
                     total=len(tasks),
-                    x=slot.task.x,
-                    seed=slot.task.seed,
+                    x=task.x,
+                    seed=task.seed,
                     ok=not isinstance(outcome, TrialFailure),
                 )
             )
 
-    def transient_failure(slot: _Slot, error) -> None:
+    def transient_failure(worker: _Worker, error) -> None:
         """Worker death or timeout: retry with backoff, or exhaust."""
-        elapsed = time.monotonic() - slot.started
-        if slot.attempt < policy.max_attempts:
+        task, attempt = worker.task, worker.attempt
+        elapsed = time.monotonic() - worker.started
+        if attempt < policy.max_attempts:
             counters.bump("retries")
             counters.bump("worker_restarts")
-            delay = policy.backoff_delay(
-                slot.task.index, slot.task.seed, slot.attempt + 1
-            )
-            cooling.append(
-                (time.monotonic() + delay, slot.task, slot.attempt + 1)
-            )
+            delay = policy.backoff_delay(task.index, task.seed, attempt + 1)
+            cooling.append((time.monotonic() + delay, task, attempt + 1))
             return
         counters.bump("exhausted")
         if policy.on_exhausted == "raise":
-            _kill_slots(slots)
-            _publish_report(counters.report(len(tasks)))
             raise error
-        finish(slot, _exhausted_failure(slot.task, error, slot.attempt, elapsed))
+        finish(task, _exhausted_failure(task, error, attempt, elapsed))
 
     try:
-        while pending or cooling or slots:
+        while pending or cooling or any(w.task is not None for w in workers):
             now = time.monotonic()
             # Cooldowns that elapsed rejoin the queue in task order.
             ready = [item for item in cooling if item[0] <= now]
@@ -489,101 +491,100 @@ def run_tasks_supervised(
                         ready, key=lambda item: item[1].index
                     )
                 )
-            while pending and len(slots) < jobs:
-                task, attempt = pending.pop(0)
-                spawn(task, attempt)
+            for worker in [w for w in workers if w.task is None]:
+                if not pending:
+                    break
+                if dispatch(worker, *pending[0]):
+                    pending.pop(0)
+            while pending and len(workers) < jobs:
+                if dispatch(spawn(), *pending[0]):
+                    pending.pop(0)
 
-            if not slots:
+            busy = [w for w in workers if w.task is not None]
+            if not busy:
                 # Everything is cooling down; sleep until the first wake.
                 wake = min(at for at, _t, _a in cooling)
                 time.sleep(max(0.0, min(wake - time.monotonic(), _TICK)))
                 continue
 
             timeout = _TICK
-            deadlines = [s.deadline for s in slots if s.deadline is not None]
+            deadlines = [w.deadline for w in busy if w.deadline is not None]
             if deadlines:
                 timeout = max(0.0, min(min(deadlines) - now, _TICK))
             readable = multiprocessing.connection.wait(
-                [slot.conn for slot in slots], timeout=timeout
+                [w.conn for w in busy] + [w.process.sentinel for w in busy],
+                timeout=timeout,
             )
 
             now = time.monotonic()
-            retained: List[_Slot] = []
-            for slot in slots:
+            for worker in busy:
                 # One of: ("ok"|"raise", payload), "died", or None (running).
                 result = None
-                if slot.conn in readable or slot.conn.poll():
-                    result = _drain(slot.conn)
-                if result is None and not slot.process.is_alive():
+                if worker.conn in readable or worker.conn.poll():
+                    result = _drain(worker.conn)
+                if result is None and not worker.process.is_alive():
                     # Re-poll once: the result may have landed between the
                     # wait() call and the liveness check.
-                    result = _drain(slot.conn) if slot.conn.poll() else "died"
+                    result = (
+                        _drain(worker.conn) if worker.conn.poll() else "died"
+                    )
                 if result is None:
-                    if slot.deadline is not None and now >= slot.deadline:
-                        slot.process.kill()
-                        _reap(slot)
+                    if worker.deadline is not None and now >= worker.deadline:
+                        retire(worker)
                         counters.bump("timeouts")
                         transient_failure(
-                            slot,
+                            worker,
                             TrialTimeoutError(
-                                f"trial (x={slot.task.x}, "
-                                f"seed={slot.task.seed}) exceeded its "
+                                f"trial (x={worker.task.x}, "
+                                f"seed={worker.task.seed}) exceeded its "
                                 f"{policy.trial_timeout}s wall-clock budget "
-                                f"on attempt {slot.attempt} and was killed",
+                                f"on attempt {worker.attempt} and was killed",
                                 timeout=policy.trial_timeout or 0.0,
-                                attempts=slot.attempt,
+                                attempts=worker.attempt,
                             ),
                         )
-                    else:
-                        retained.append(slot)
                     continue
                 if result == "died":
-                    _reap(slot)
-                    exitcode = slot.process.exitcode or 0
+                    retire(worker)
+                    exitcode = worker.process.exitcode or 0
                     counters.bump("worker_deaths")
                     transient_failure(
-                        slot,
+                        worker,
                         WorkerCrashError(
-                            f"worker running trial (x={slot.task.x}, "
-                            f"seed={slot.task.seed}) died with exit code "
-                            f"{exitcode} on attempt {slot.attempt}",
+                            f"worker running trial (x={worker.task.x}, "
+                            f"seed={worker.task.seed}) died with exit code "
+                            f"{exitcode} on attempt {worker.attempt}",
                             exitcode=exitcode,
-                            attempts=slot.attempt,
+                            attempts=worker.attempt,
                         ),
                     )
                     continue
                 kind, payload = result
-                _reap(slot)
+                task, attempt = worker.task, worker.attempt
+                worker.task = None
                 if kind == "raise":
-                    _kill_slots([s for s in slots if s is not slot])
-                    _publish_report(counters.report(len(tasks)))
                     raise payload
                 if isinstance(payload, TrialFailure):
                     payload = replace(
-                        payload,
-                        attempt=slot.attempt,
-                        elapsed=now - slot.started,
+                        payload, attempt=attempt, elapsed=now - worker.started
                     )
                 elif hasattr(payload, "attempt"):
-                    payload.attempt = slot.attempt
-                finish(slot, payload)
-            slots = retained
+                    payload.attempt = attempt
+                finish(task, payload)
     except BaseException:
-        _kill_slots(slots)
+        _stop_workers(workers, graceful=False)
         raise
-
-    report = counters.report(len(tasks))
-    _publish_report(report)
-    return outcomes, report
+    _stop_workers(workers, graceful=True)
+    return outcomes, counters.report(len(tasks))
 
 
-def run_trial_resilient(task: "TrialTask", policy: Optional[ResiliencePolicy] = None):
+def run_trial_resilient(task: "TrialTask"):
     """Execute one trial in-process with attempt/elapsed provenance.
 
-    The ``jobs=1`` resilient path: no subprocess, no preemption (an
+    The ``jobs=1`` path of every sweep: no subprocess, no preemption (an
     in-process hang cannot be killed, so ``policy.trial_timeout`` is not
-    enforced here — that requires the supervised ``jobs > 1`` executor),
-    but outcomes carry the same ``attempt``/``elapsed`` provenance as
+    enforced here — that requires the ``jobs > 1`` executor), but
+    outcomes carry the same ``attempt``/``elapsed`` provenance as
     supervised ones, and the wrapper's overhead over a bare
     :func:`~repro.experiments.sweep.run_trial` is one clock read per
     trial — benchmarked under 5% by the ``chaos-smoke`` CI job.

@@ -20,13 +20,13 @@ Parallel execution
 
 Trials are independent by construction (each builds its own scheduler,
 network, and RNG streams from ``(x, seed)``), which makes the trial the
-natural unit of fan-out.  ``sweep(..., jobs=N)`` runs trials on a
-:class:`concurrent.futures.ProcessPoolExecutor` with ``N`` workers
-(``jobs=0`` means one per CPU); results are reassembled into
-:class:`SweepPoint` lists in deterministic ``(x, seed)`` order no matter
-which worker finished first, so a parallel sweep is *bit-identical* to a
-sequential one — a property the test suite proves with the PR-2
-determinism digests (``digests=True`` attaches a
+natural unit of fan-out.  ``sweep(..., jobs=N)`` runs trials on ``N``
+long-lived worker processes (``jobs=0`` means one per CPU) under the
+supervised executor of :mod:`repro.experiments.resilience`; results are
+reassembled into :class:`SweepPoint` lists in deterministic
+``(x, seed)`` order no matter which worker finished first, so a parallel
+sweep is *bit-identical* to a sequential one — a property the test suite
+proves with the determinism digests (``digests=True`` attaches a
 :class:`~repro.analysis.determinism.RunFingerprint` to every run).
 
 Crossing the process boundary constrains the factories: closures cannot be
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Union
 
@@ -58,7 +57,6 @@ from .config import RunSettings
 from .resilience import (
     ResiliencePolicy,
     SupervisionReport,
-    _publish_report,
     run_tasks_supervised,
     run_trial_resilient,
 )
@@ -78,7 +76,7 @@ class TrialFailure:
 
     Frozen and picklable (including the error's diagnostic snapshot, see
     :meth:`~repro.errors.BudgetExceededError.__reduce__`), so failures
-    recorded inside pool workers survive the trip home.
+    recorded inside worker processes survive the trip home.
     """
 
     x: float
@@ -214,7 +212,7 @@ class SweepPoint:
         merge bucket-wise (see :meth:`~repro.telemetry.registry.
         MetricsSnapshot.aggregate`).  Empty when the sweep ran without
         ``settings.telemetry``; per-trial snapshots are produced inside
-        pool workers and aggregate here identically for ``jobs=1`` and
+        worker processes and aggregate here identically for ``jobs=1`` and
         ``jobs=N``.
         """
         from ..telemetry import MetricsSnapshot
@@ -244,7 +242,7 @@ TrialOutcome = Union[ExperimentRun, TrialFailure]
 def run_trial(task: TrialTask) -> TrialOutcome:
     """Execute one trial; the worker-side entry point of a parallel sweep.
 
-    Module-level (not a closure) so pool workers import it by reference.
+    Module-level (not a closure) so workers import it by reference.
     :class:`~repro.errors.SimulationError` — the per-trial fault-isolation
     class — is converted to a :class:`TrialFailure`; everything else
     (sanitizer trips, protocol invariant violations, config errors)
@@ -285,7 +283,7 @@ def _resolve_jobs(jobs: int) -> int:
 
 
 def _check_tasks_picklable(task: TrialTask) -> None:
-    """Fail fast, with a remedy, before submitting closures to the pool."""
+    """Fail fast, with a remedy, before shipping closures to workers."""
     try:
         pickle.dumps(task)
     except Exception as exc:
@@ -295,48 +293,6 @@ def _check_tasks_picklable(task: TrialTask) -> None:
             f"repro.experiments.factory_ref(...) wrappers — closures and "
             f"lambdas only work with jobs=1"
         ) from exc
-
-
-def _run_tasks_parallel(
-    tasks: Sequence[TrialTask],
-    jobs: int,
-    on_progress: Optional[ProgressCallback],
-) -> Dict[int, TrialOutcome]:
-    """Fan tasks out to a process pool; return outcomes keyed by task index.
-
-    Completion order is nondeterministic; the caller reassembles in task
-    order.  A non-isolated error in any worker cancels what it can and
-    propagates.
-    """
-    _check_tasks_picklable(tasks[0])
-    outcomes: Dict[int, TrialOutcome] = {}
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        index_of = {pool.submit(run_trial, task): task.index for task in tasks}
-        try:
-            for future in as_completed(index_of):
-                index = index_of[future]
-                outcome = future.result()
-                outcomes[index] = outcome
-                if on_progress is not None:
-                    task = tasks[index]
-                    on_progress(
-                        TrialProgress(
-                            done=len(outcomes),
-                            total=len(tasks),
-                            x=task.x,
-                            seed=task.seed,
-                            ok=not isinstance(outcome, TrialFailure),
-                        )
-                    )
-        except BaseException:
-            # Per-future ``cancel()`` only catches futures not yet grabbed
-            # by a worker, and the ``with`` exit alone would then *run*
-            # every still-queued straggler before returning.  Cancel the
-            # queue wholesale and drain only the in-flight trials, so a
-            # sanitizer abort surfaces promptly even mid-sweep.
-            pool.shutdown(wait=True, cancel_futures=True)
-            raise
-    return outcomes
 
 
 def sweep(
@@ -376,10 +332,11 @@ def sweep(
     Non-simulation errors (protocol invariant violations, sanitizer trips,
     bad configuration) always propagate — from workers too.
 
-    ``jobs`` selects the executor: ``1`` (default) runs in-process exactly
-    as before; ``N > 1`` fans trials out to ``N`` worker processes;
-    ``0`` uses one worker per CPU.  Parallel results are reassembled in
-    ``(x, seed)`` task order and are digest-identical to sequential runs.
+    ``jobs`` selects where trials run: ``1`` (default) runs them
+    in-process, one after another; ``N > 1`` fans them out to ``N``
+    supervised worker processes; ``0`` uses one worker per CPU.  Parallel
+    results are reassembled in ``(x, seed)`` task order and are
+    digest-identical to sequential runs.
 
     ``digests=True`` attaches a SHA-256
     :class:`~repro.analysis.determinism.RunFingerprint` (trace, FIB log,
@@ -390,25 +347,25 @@ def sweep(
     parallel) — wire it to a counter or log line for long sweeps.
 
     ``policy`` (a :class:`~repro.experiments.resilience.ResiliencePolicy`)
-    turns on resilient execution.  With ``jobs > 1`` trials run under the
-    supervised executor: worker death and watchdog timeouts are retried
-    with capped, deterministically-jittered backoff, and trials that
-    exhaust their retries land in ``failures`` as
-    :class:`TrialFailure`/:class:`TrialTimeout` (or abort the sweep,
-    per ``policy.on_exhausted``).  With ``jobs=1`` the policy only adds
-    attempt/elapsed provenance — an in-process trial cannot be preempted
-    or survive its own crash.  A retried trial re-runs the *identical*
+    sets how ``jobs > 1`` survives failure: worker death and watchdog
+    timeouts are retried with capped, deterministically-jittered backoff,
+    and trials that exhaust their retries land in ``failures`` as
+    :class:`TrialFailure`/:class:`TrialTimeout` (or abort the sweep, per
+    ``policy.on_exhausted``).  ``None`` means
+    :data:`~repro.experiments.resilience.DEFAULT_POLICY`: no retries, and
+    a dead worker aborts the sweep with
+    :class:`~repro.errors.WorkerCrashError`.  With ``jobs=1`` the policy
+    has nothing to act on — an in-process trial cannot be preempted or
+    survive its own crash — but every outcome still carries
+    attempt/elapsed provenance.  A retried trial re-runs the *identical*
     :class:`TrialTask`, so resilience never perturbs ``digests=True``
     equivalence.
 
     ``on_report`` receives this sweep's
     :class:`~repro.experiments.resilience.SupervisionReport` once the
-    sweep finishes (only when ``policy`` is set; the jobs=1 path
-    synthesizes a report with zero supervision activity).  This is the
-    report's home — each sweep's caller owns its own counters, so
-    concurrent sweeps in one process never alias.  The deprecated
-    :func:`~repro.experiments.resilience.last_report` shim still mirrors
-    the most recent report.
+    sweep finishes (the jobs=1 path reports completions with zero
+    supervision activity).  Each sweep's caller owns its own counters,
+    so concurrent sweeps in one process never alias.
     """
     if not xs:
         raise AnalysisError("sweep needs at least one x value")
@@ -433,14 +390,10 @@ def sweep(
                 )
             )
 
-    report: Optional[SupervisionReport] = None
     if jobs == 1:
         outcomes: Dict[int, TrialOutcome] = {}
         for task in tasks:
-            if policy is not None:
-                outcome = run_trial_resilient(task, policy)
-            else:
-                outcome = run_trial(task)
+            outcome = run_trial_resilient(task)
             if isinstance(outcome, TrialFailure) and on_error == "raise":
                 raise outcome.error
             outcomes[task.index] = outcome
@@ -454,21 +407,15 @@ def sweep(
                         ok=not isinstance(outcome, TrialFailure),
                     )
                 )
-        if policy is not None:
-            # In-process trials cannot be preempted or restarted, so the
-            # report records completions only — zero supervision events.
-            report = SupervisionReport(
-                trials=len(tasks), completed=len(outcomes)
-            )
-            _publish_report(report)
-    elif policy is not None:
+        # In-process trials cannot be preempted or restarted, so the
+        # report records completions only — zero supervision events.
+        report = SupervisionReport(trials=len(tasks), completed=len(outcomes))
+    else:
         _check_tasks_picklable(tasks[0])
         outcomes, report = run_tasks_supervised(
             tasks, jobs, policy, on_progress=on_progress
         )
-    else:
-        outcomes = _run_tasks_parallel(tasks, jobs, on_progress)
-    if on_report is not None and report is not None:
+    if on_report is not None:
         on_report(report)
 
     # Deterministic reassembly: walk tasks in submission order — the

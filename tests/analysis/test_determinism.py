@@ -64,6 +64,22 @@ class TestCheckDeterminism:
                 tdown_clique(3), variant("standard", mrai=1.0), runs=1
             )
 
+    @pytest.mark.parametrize("jobs", [True, 2.5, -1])
+    def test_bad_jobs_rejected(self, jobs):
+        # The same validation sweep(jobs=...) applies; nothing runs.
+        with pytest.raises(AnalysisError, match="jobs must be"):
+            check_determinism(
+                tdown_clique(3), variant("standard", mrai=1.0), jobs=jobs
+            )
+
+    def test_parallel_repetitions_match_the_baseline(self):
+        report = check_determinism(
+            tdown_clique(4), variant("standard", mrai=1.0), seed=5, runs=3,
+            jobs=2,
+        )
+        assert report.identical
+        assert len(report.fingerprints) == 3
+
     def test_fingerprint_counts_artifacts(self):
         report = check_determinism(
             tdown_clique(4), variant("standard", mrai=1.0), seed=5

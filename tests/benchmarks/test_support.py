@@ -1,32 +1,26 @@
-"""The benchmark journal shim: interrupted sweeps must resume, not restart.
+"""The benchmark journal: interrupted sweeps must resume, not restart.
 
-``benchmarks/_support.checkpointed_sweep`` is now a thin wrapper over the
-library's crash-safe journal (``repro.experiments.checkpointed_sweep``,
-one CRC-framed JSON line per finished *trial*); these tests drive the
-shim against real (tiny) sweeps and assert that a rerun only executes
-the missing ``(x, seed)`` pairs, that torn and corrupt journal lines are
-tolerated, and that an all-failed point reports ``metrics == {}``
-instead of wedging the resume loop.
+``bench_churn.py`` journals its trials with
+``repro.experiments.checkpointed_sweep(journal=RESULTS_DIR /
+"<name>.trials.jsonl")`` (one CRC-framed JSON line per finished trial)
+and renders its table from the returned summaries' ``x``,
+``succeeded``, ``failed`` and ``metrics``.  These tests make that call
+against real (tiny) sweeps and check that every trial is journaled as
+it finishes, that ``fresh=True`` discards the journal, that a torn
+final line is skipped and its trial re-run, and that a summary carries
+the fields the table reads.  The library's own journal cases live in
+``tests/experiments/test_journal.py``.
 """
 
-import sys
-from pathlib import Path
-
-import pytest
-
-BENCHMARKS_DIR = Path(__file__).resolve().parents[2] / "benchmarks"
-if str(BENCHMARKS_DIR) not in sys.path:
-    sys.path.insert(0, str(BENCHMARKS_DIR))
-
-from _support import (
-    PointRecord,
-    checkpointed_sweep,
-    load_point_journal,
-    point_journal_path,
-)
-
 from repro.bgp import BgpConfig
-from repro.experiments import RunSettings, constant_config, factory_ref
+from repro.experiments import (
+    PointSummary,
+    RunSettings,
+    SweepJournal,
+    checkpointed_sweep,
+    constant_config,
+    factory_ref,
+)
 from repro.experiments.journal import (
     TrialRecord,
     encode_record,
@@ -36,9 +30,6 @@ from repro.experiments.scenarios import clique_tdown_trial
 
 FAST = BgpConfig(mrai=1.0, processing_delay=(0.01, 0.05))
 SETTINGS = RunSettings(failure_guard=0.5)
-#: Budget that kills a 6-clique but lets a 3-clique finish (see
-#: tests/experiments/test_parallel_sweep.py for the calibration).
-TIGHT = RunSettings(failure_guard=0.5, event_budget=200)
 
 MAKE_CONFIG = factory_ref(constant_config, config=FAST)
 
@@ -49,88 +40,27 @@ def journal_lines(path):
     ]
 
 
+def bench_sweep(journal, xs, fresh=False):
+    """The journaled sweep as ``bench_churn.py`` runs it."""
+    return checkpointed_sweep(
+        list(xs),
+        clique_tdown_trial,
+        MAKE_CONFIG,
+        journal=journal,
+        seeds=(0,),
+        settings=SETTINGS,
+        fresh=fresh,
+    )
+
+
 class TestCheckpointedSweep:
     def test_trials_journal_as_they_finish(self, tmp_path):
         journal = tmp_path / "sweep.trials.jsonl"
-        records = checkpointed_sweep(
-            "unused",
-            [3, 4],
-            clique_tdown_trial,
-            MAKE_CONFIG,
-            seeds=(0,),
-            settings=SETTINGS,
-            path=journal,
-        )
+        records = bench_sweep(journal, [3, 4])
         assert [r.x for r in records] == [3, 4]
         assert all(r.succeeded == 1 and r.failed == 0 for r in records)
         # One line per (x, seed) trial.
         assert len(journal_lines(journal)) == 2
-
-    def test_default_path_is_named_trials_journal(self):
-        assert point_journal_path("abc").name == "abc.trials.jsonl"
-
-    def test_interrupted_run_resumes_without_repeating(self, tmp_path):
-        journal = tmp_path / "sweep.trials.jsonl"
-        # "Interrupt": the first invocation only got through x=3.
-        first = checkpointed_sweep(
-            "unused",
-            [3],
-            clique_tdown_trial,
-            MAKE_CONFIG,
-            seeds=(0,),
-            settings=SETTINGS,
-            path=journal,
-        )
-        resumed = checkpointed_sweep(
-            "unused",
-            [3, 4],
-            clique_tdown_trial,
-            MAKE_CONFIG,
-            seeds=(0,),
-            settings=SETTINGS,
-            path=journal,
-        )
-        assert [r.x for r in resumed] == [3, 4]
-        # x=3 was loaded from the journal, byte-identical to the first run.
-        assert resumed[0] == first[0]
-        # Only one new trial line was appended (x=4); x=3 was not re-run.
-        assert len(journal_lines(journal)) == 2
-
-    def test_resume_skips_completed_x_entirely(self, tmp_path, monkeypatch):
-        journal = tmp_path / "sweep.trials.jsonl"
-        checkpointed_sweep(
-            "unused",
-            [3, 4],
-            clique_tdown_trial,
-            MAKE_CONFIG,
-            seeds=(0,),
-            settings=SETTINGS,
-            path=journal,
-        )
-
-        # With every trial journaled, a rerun must not call sweep at all.
-        # The library resolves ``sweep`` lazily from its defining module
-        # (the package attribute is shadowed by the function itself).
-        def exploding_sweep(*args, **kwargs):
-            raise AssertionError("sweep re-executed a completed point")
-
-        monkeypatch.setattr(
-            sys.modules["repro.experiments.sweep"],
-            "sweep",
-            exploding_sweep,
-            raising=True,
-        )
-        records = checkpointed_sweep(
-            "unused",
-            [3, 4],
-            clique_tdown_trial,
-            MAKE_CONFIG,
-            seeds=(0,),
-            settings=SETTINGS,
-            path=journal,
-        )
-        assert [r.x for r in records] == [3, 4]
-        assert all(r.metrics["convergence_time"] > 0 for r in records)
 
     def test_fresh_discards_the_journal(self, tmp_path):
         journal = tmp_path / "sweep.trials.jsonl"
@@ -138,100 +68,29 @@ class TestCheckpointedSweep:
             x=3, seed=0, status="ok", metrics={"convergence_time": -1.0}
         )
         journal.write_text(encode_record(bogus) + "\n", encoding="utf-8")
-        records = checkpointed_sweep(
-            "unused",
-            [3],
-            clique_tdown_trial,
-            MAKE_CONFIG,
-            seeds=(0,),
-            settings=SETTINGS,
-            path=journal,
-            fresh=True,
-        )
+        records = bench_sweep(journal, [3], fresh=True)
         # The bogus journaled metrics are gone; the trial was re-run.
         assert records[0].succeeded == 1
         assert records[0].metrics["convergence_time"] > 0
 
     def test_torn_final_line_is_skipped_and_rerun(self, tmp_path):
         journal = tmp_path / "sweep.trials.jsonl"
-        good = checkpointed_sweep(
-            "unused",
-            [3],
-            clique_tdown_trial,
-            MAKE_CONFIG,
-            seeds=(0,),
-            settings=SETTINGS,
-            path=journal,
-        )[0]
+        good = bench_sweep(journal, [3])[0]
         # The interrupt arrived mid-write: the x=4 trial line is torn.
         torn = encode_record(
             TrialRecord(x=4, seed=0, status="ok", metrics={"a": 1.0})
         )[:-9]
         with journal.open("a", encoding="utf-8") as handle:
             handle.write(torn)
-        completed = load_point_journal(journal)
-        assert set(completed) == {3}
+        completed, recovery = SweepJournal(journal).load()
+        assert set(completed) == {(3, 0)}
+        assert recovery.truncated_tail
 
-        records = checkpointed_sweep(
-            "unused",
-            [3, 4],
-            clique_tdown_trial,
-            MAKE_CONFIG,
-            seeds=(0,),
-            settings=SETTINGS,
-            path=journal,
-        )
+        records = bench_sweep(journal, [3, 4])
         assert [r.x for r in records] == [3, 4]
         assert records[0] == good  # loaded, not re-run
         assert records[1].succeeded == 1  # re-run despite the torn line
         assert records[1].metrics["convergence_time"] > 0
-
-    def test_corrupt_midfile_line_is_skipped_and_rerun(self, tmp_path):
-        journal = tmp_path / "sweep.trials.jsonl"
-        checkpointed_sweep(
-            "unused",
-            [3, 4],
-            clique_tdown_trial,
-            MAKE_CONFIG,
-            seeds=(0,),
-            settings=SETTINGS,
-            path=journal,
-        )
-        # Flip a byte inside the first record's body: CRC now mismatches.
-        lines = journal_lines(journal)
-        lines[0] = lines[0].replace('"seed":0', '"seed":9', 1)
-        journal.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        assert set(load_point_journal(journal)) == {4}
-
-        records = checkpointed_sweep(
-            "unused",
-            [3, 4],
-            clique_tdown_trial,
-            MAKE_CONFIG,
-            seeds=(0,),
-            settings=SETTINGS,
-            path=journal,
-        )
-        assert all(r.succeeded == 1 for r in records)
-
-    def test_all_failed_point_journals_empty_metrics(self, tmp_path):
-        journal = tmp_path / "sweep.trials.jsonl"
-        records = checkpointed_sweep(
-            "unused",
-            [6],
-            clique_tdown_trial,
-            MAKE_CONFIG,
-            seeds=(0,),
-            settings=TIGHT,
-            path=journal,
-        )
-        assert records[0].failed == 1
-        assert records[0].succeeded == 0
-        assert records[0].metrics == {}
-        # And the journaled failure is a valid record a resume can load.
-        reloaded = load_point_journal(journal)
-        assert reloaded[6].metrics == {}
-        assert reloaded[6].failed == 1
 
 
 class TestPointRecordAggregation:
@@ -241,13 +100,11 @@ class TestPointRecordAggregation:
             TrialRecord(x=5.0, seed=1, status="ok", metrics={"u": 30.0}),
             TrialRecord(x=5.0, seed=2, status="failed", error="boom"),
         ]
-        record = PointRecord.from_summary(summarize_point(5.0, trials))
-        assert record == PointRecord(
-            x=5.0, succeeded=2, failed=1, metrics={"u": 20.0}
+        summary = summarize_point(5.0, trials)
+        assert summary == PointSummary(
+            x=5.0, succeeded=2, failed=1, timeouts=0, metrics={"u": 20.0}
         )
-
-    def test_metrics_is_a_plain_mutable_dict(self):
-        trials = [TrialRecord(x=1.0, seed=0, status="ok", metrics={"u": 1.0})]
-        record = PointRecord.from_summary(summarize_point(1.0, trials))
-        record.metrics["extra"] = 2.0  # table-rendering code mutates these
-        assert record.metrics == {"u": 1.0, "extra": 2.0}
+        # The fields the benchmark table renders.
+        assert f"{summary.succeeded}/{summary.succeeded + summary.failed}" == "2/3"
+        assert summary.metrics.get("u") == 20.0
+        assert summary.metrics.get("missing", -1.0) == -1.0

@@ -82,3 +82,33 @@ def slow_tdown(x, seed, delay_s=1.0):
     which an external test can ``kill -9`` the worker or the driver."""
     time.sleep(delay_s)
     return tdown_clique(int(x))
+
+
+# ----------------------------------------------------------------------
+# Worker functions for run_tasks_supervised(worker_fn=...): they ignore
+# the trial and report which process ran it.
+# ----------------------------------------------------------------------
+
+
+def report_pid(task):
+    """The PID of the worker that ran ``task``."""
+    return os.getpid()
+
+
+def kill_once_report_pid(task, marker_dir="", kill_index=0, sleep_s=0.05):
+    """SIGKILL the worker on the first attempt of task ``kill_index``
+    (recording its PID in a marker file first); every other run sleeps
+    ``sleep_s`` so the survivors are still busy when the death is seen."""
+    marker = Path(marker_dir) / f"killed-{kill_index}"
+    if task.index == kill_index and not marker.exists():
+        marker.write_text(str(os.getpid()), encoding="utf-8")
+        os.kill(os.getpid(), signal.SIGKILL)
+    time.sleep(sleep_s)
+    return os.getpid()
+
+
+def record_pid_then_sleep(task, pid_dir="", sleep_s=0.1):
+    """Leave a ``<pid>`` file in ``pid_dir``, then stall ``sleep_s``."""
+    (Path(pid_dir) / str(os.getpid())).touch()
+    time.sleep(sleep_s)
+    return os.getpid()

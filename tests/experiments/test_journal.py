@@ -8,6 +8,7 @@ record was truncated mid-write — lives in
 import json
 import os
 import signal
+import sys
 import zlib
 
 import pytest
@@ -32,6 +33,9 @@ from repro.experiments.journal import (
 
 FAST = BgpConfig(mrai=1.0, processing_delay=(0.01, 0.05))
 SETTINGS = RunSettings(failure_guard=0.5)
+#: Budget that kills a 6-clique but lets a 3-clique finish (see
+#: tests/experiments/test_parallel_sweep.py for the calibration).
+TIGHT = RunSettings(failure_guard=0.5, event_budget=200)
 MAKE_CONFIG = factory_ref(constant_config, config=FAST)
 
 
@@ -222,14 +226,14 @@ class TestSummaries:
 
 
 class TestCheckpointedSweep:
-    def run_sweep(self, path, xs=(3, 4), seeds=(0, 1)):
+    def run_sweep(self, path, xs=(3, 4), seeds=(0, 1), settings=SETTINGS):
         return checkpointed_sweep(
             list(xs),
             clique_tdown_trial,
             MAKE_CONFIG,
             journal=path,
             seeds=tuple(seeds),
-            settings=SETTINGS,
+            settings=settings,
         )
 
     def test_fresh_run_journals_every_trial(self, tmp_path):
@@ -298,3 +302,52 @@ class TestCheckpointedSweep:
         journal.append(ok_record(9.0, 0))
         assert (9.0, 0) in journal.records
         journal.close()
+
+    def test_extended_xs_run_only_the_new_point(self, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        # "Interrupt": the first invocation only got through x=3.
+        first = self.run_sweep(path, xs=(3,), seeds=(0,))
+        resumed = self.run_sweep(path, xs=(3, 4), seeds=(0,))
+        assert [s.x for s in resumed] == [3, 4]
+        assert resumed[0] == first[0]  # loaded from the journal
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 2
+
+    def test_fully_journaled_rerun_never_calls_sweep(self, tmp_path, monkeypatch):
+        path = tmp_path / "sweep.jsonl"
+        first = self.run_sweep(path)
+
+        def exploding_sweep(*args, **kwargs):
+            raise AssertionError("sweep re-executed a completed point")
+
+        # checkpointed_sweep resolves ``sweep`` lazily from its defining
+        # module (the package attribute is shadowed by the function).
+        monkeypatch.setattr(
+            sys.modules["repro.experiments.sweep"], "sweep", exploding_sweep
+        )
+        again = self.run_sweep(path)
+        assert again == first
+
+    def test_corrupt_midfile_record_is_rerun(self, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        complete = self.run_sweep(path, seeds=(0,))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        # Flip a byte inside the first record's body: its CRC now fails.
+        lines[0] = lines[0].replace('"seed":0', '"seed":9', 1)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        records, recovery = SweepJournal(path).load()
+        assert set(records) == {(4, 0)}
+        assert recovery.corrupt == 1
+        assert self.run_sweep(path, seeds=(0,)) == complete
+
+    def test_all_failed_point_summarizes_with_empty_metrics(self, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        [summary] = self.run_sweep(path, xs=(6,), seeds=(0,), settings=TIGHT)
+        assert (summary.succeeded, summary.failed) == (0, 1)
+        assert summary.metrics == {}
+        # The journaled failure is a valid record a resume can load.
+        records, recovery = SweepJournal(path).load()
+        assert records[(6, 0)].status == "failed"
+        assert recovery.clean
+        assert self.run_sweep(path, xs=(6,), seeds=(0,), settings=TIGHT) == [
+            summary
+        ]

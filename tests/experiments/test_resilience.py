@@ -24,7 +24,6 @@ from repro.experiments import (
     constant_config,
     factory_ref,
     failures_of,
-    last_report,
     sweep,
 )
 
@@ -351,18 +350,23 @@ class TestReportThreading:
             0, 0, 0,
         )
 
-    def test_no_policy_means_no_report(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_every_sweep_reports_without_a_policy(self, jobs):
         reports = []
         sweep(
             [3],
             clique_tdown_trial,
             MAKE_CONFIG,
-            seeds=(0,),
+            seeds=(0, 1),
             settings=SETTINGS,
-            jobs=1,
+            jobs=jobs,
             on_report=reports.append,
         )
-        assert reports == []
+        [report] = reports
+        assert (report.trials, report.completed) == (2, 2)
+        assert (report.retries, report.timeouts, report.worker_deaths) == (
+            0, 0, 0,
+        )
 
     def test_merged_sums_counts_and_aggregates_metrics(self):
         from repro.experiments import SupervisionReport
@@ -384,18 +388,3 @@ class TestReportThreading:
         assert merged.worker_deaths == 1
         assert merged.exhausted == 1
         assert merged.metrics.counter("resilience.retries") == 3
-
-    def test_last_report_shim_still_mirrors_and_deprecates(self):
-        sweep(
-            [3],
-            clique_tdown_trial,
-            MAKE_CONFIG,
-            seeds=(0,),
-            settings=SETTINGS,
-            jobs=1,
-            policy=ResiliencePolicy(),
-        )
-        with pytest.deprecated_call():
-            report = last_report()
-        assert report is not None
-        assert report.completed >= 1
