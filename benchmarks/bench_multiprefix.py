@@ -4,8 +4,7 @@ The CI-gated performance benchmark backing the prefix dimension: full
 :func:`repro.experiments.runner.run_experiment` trials on the Tagg family
 (aggregate/deaggregate churn over a seeded prefix population, traffic
 matrix on) at two population sizes, plus an isolated timing of the
-traffic-matrix epoch evaluator over the 256-prefix log — the component the
-fate-cache/segment optimization targets.
+traffic-matrix evaluator (epoch-rows mode) over the 256-prefix log.
 
 * ``tagg64``: 64 specifics, 2 origins, 4-clique — updates/sec of the
   control plane with per-prefix state fanned out;
@@ -127,8 +126,8 @@ def run_eval(repeat: int, seed: int) -> Dict[str, object]:
 
     The simulation runs once (untimed); each sample re-evaluates the same
     FIB log and traffic matrix from scratch, so the number measures the
-    epoch evaluator — segment merging, fate caching, vectorized counting —
-    not the control plane.
+    traffic evaluator in epoch-rows mode — change-driven reclassification,
+    the fate memo, per-row counting — not the control plane.
     """
     scenario = _scenario(256)
     run = run_experiment(scenario, CONFIG, RunSettings(), seed=seed)

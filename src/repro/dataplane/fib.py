@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from ..errors import AnalysisError
 from ..prefixes import PrefixSpec, parse_prefix
@@ -185,49 +185,54 @@ class FibChangeLog:
 
     def multi_epochs(
         self, start: float, end: float
-    ) -> Iterator[Tuple[float, float, "MultiPrefixFib", FrozenSet[Prefix]]]:
+    ) -> Iterator[
+        Tuple[float, float, "MultiPrefixFib", Tuple[Tuple[int, Prefix], ...]]
+    ]:
         """Yield ``(epoch_start, epoch_end, fib, changed)`` over ``[start, end)``.
 
         Like :meth:`epochs` but across **all** prefixes at once: an epoch
         boundary is any instant at which any prefix's forwarding state
-        changes anywhere.  ``changed`` is the set of prefixes whose entries
-        were touched at the epoch's opening boundary (for the first epoch:
-        everything applied at or before ``start``) — evaluators use it to
-        re-derive only the forwarding state that could have moved.  The
-        yielded :class:`MultiPrefixFib` is a **live view** that mutates on
-        the next iteration — callers must finish with it before advancing
-        (copying N-prefix state per epoch would be quadratic in exactly the
-        workloads this exists for).
+        changes anywhere.  ``changed`` holds the ``(node, prefix)`` pairs
+        whose entries were written at the epoch's opening boundary (for the
+        first epoch: everything applied at or before ``start``), each once,
+        in first-written order — only those nodes' lookups of addresses
+        those prefixes cover can have moved, so evaluators re-derive just
+        that.  The yielded :class:`MultiPrefixFib` is a **live view** that
+        mutates on the next iteration — callers must finish with it before
+        advancing (copying N-prefix state per epoch would be quadratic in
+        exactly the workloads this exists for).
         """
         if end < start:
             raise AnalysisError(f"epoch window end {end} before start {start}")
         fib = MultiPrefixFib()
         index = 0
         changes = self._changes
-        changed: Set[Prefix] = set()
+        changed: Dict[Tuple[int, Prefix], None] = {}
         while index < len(changes) and changes[index].time <= start:
-            fib.set_entry(changes[index].node, changes[index].prefix, changes[index].next_hop)
-            changed.add(changes[index].prefix)
+            change = changes[index]
+            fib.set_entry(change.node, change.prefix, change.next_hop)
+            changed[(change.node, change.prefix)] = None
             index += 1
 
         cursor = start
         while cursor < end:
             next_time = changes[index].time if index < len(changes) else None
             if next_time is None or next_time >= end:
-                yield (cursor, end, fib, frozenset(changed))
+                yield (cursor, end, fib, tuple(changed))
                 return
             if next_time > cursor:
-                yield (cursor, next_time, fib, frozenset(changed))
+                yield (cursor, next_time, fib, tuple(changed))
                 cursor = next_time
-                changed = set()
+                changed = {}
             # lint: allow(float-time-eq) -- equality groups same-instant
             # records sharing one float value read from this very list.
             while (
                 index < len(changes)
                 and changes[index].time == next_time  # lint: allow(float-time-eq)
             ):
-                fib.set_entry(changes[index].node, changes[index].prefix, changes[index].next_hop)
-                changed.add(changes[index].prefix)
+                change = changes[index]
+                fib.set_entry(change.node, change.prefix, change.next_hop)
+                changed[(change.node, change.prefix)] = None
                 index += 1
 
 

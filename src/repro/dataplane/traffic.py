@@ -22,6 +22,29 @@ DEFAULT_PACKET_RATE = 10.0
 """Packets per second per source (the paper's setting)."""
 
 
+def first_index(time, start, rate, ceil=math.ceil, maximum=max):
+    """Smallest packet index k whose departure ``start + k / rate`` is >= ``time``.
+
+    The one definition of CBR packet counting.  It is written with plain
+    operators so it also runs elementwise on numpy arrays (pass
+    ``numpy.ceil`` and ``numpy.maximum``) with the identical float
+    operations, hence bitwise-identical counts.  The ``1e-12`` guards float
+    error in the product; the clamp at 0 covers ``time <= start``.
+    """
+    return maximum(0, ceil((time - start) * rate - 1e-12))
+
+
+def packets_in(start: float, rate: float, t0: float, t1: float) -> int:
+    """Packets of the stream ``(start, rate)`` departing in ``[t0, t1)``.
+
+    ``[t0, t1)`` is half-open: a packet exactly at ``t1`` belongs to the
+    next interval, which :func:`first_index` already guarantees.
+    """
+    if t1 <= t0:
+        return 0
+    return max(0, first_index(t1, start, rate) - first_index(t0, start, rate))
+
+
 @dataclass(frozen=True)
 class CbrSource:
     """One constant-bit-rate packet stream from ``node``.
@@ -45,9 +68,7 @@ class CbrSource:
 
     def first_index_at_or_after(self, time: float) -> int:
         """Smallest k whose departure time is >= ``time``."""
-        if time <= self.start:
-            return 0
-        return math.ceil((time - self.start) * self.rate - 1e-12)
+        return first_index(time, self.start, self.rate)
 
     def departure_time(self, index: int) -> float:
         """Departure time of packet ``index``."""
@@ -57,13 +78,7 @@ class CbrSource:
 
     def count_in(self, t0: float, t1: float) -> int:
         """Packets departing in ``[t0, t1)``."""
-        if t1 <= t0:
-            return 0
-        first = self.first_index_at_or_after(t0)
-        beyond = self.first_index_at_or_after(t1)
-        # [t0, t1) is half-open: a packet exactly at t1 belongs to the next
-        # interval, which first_index_at_or_after already guarantees.
-        return max(0, beyond - first)
+        return packets_in(self.start, self.rate, t0, t1)
 
     def times_in(self, t0: float, t1: float) -> Iterator[float]:
         """Departure times in ``[t0, t1)``, ascending.
@@ -128,13 +143,9 @@ class Flow:
         if self.rate <= 0:
             raise ConfigError(f"flow rate must be positive, got {self.rate}")
 
-    def as_cbr(self) -> CbrSource:
-        """The flow's arrival process (for interval packet counting)."""
-        return CbrSource(node=self.source, rate=self.rate, start=self.start)
-
     def count_in(self, t0: float, t1: float) -> int:
         """Packets this flow offers in ``[t0, t1)``."""
-        return self.as_cbr().count_in(t0, t1)
+        return packets_in(self.start, self.rate, t0, t1)
 
 
 @dataclass(frozen=True)
@@ -168,7 +179,8 @@ class TrafficMatrix:
         Rates are U[rate_range] per pair; the destination address of every
         flow for one structured prefix is a single seeded representative
         inside that prefix (drawn once per prefix, before the per-pair
-        rates), which keeps evaluation vectorizable by destination.  Sources
+        rates), so all flows into one prefix share one forwarding graph per
+        epoch and the evaluator classifies them together.  Sources
         listed in ``origins[prefix]`` do not send to their own prefix — the
         paper's "every *other* AS" workload.  Iteration order is the sorted
         (prefix, node) grid, so the matrix is a pure function of the inputs.

@@ -9,48 +9,56 @@ longest prefix match, and reports the **fraction of offered traffic** that
 was looped / blackholed / delivered — the ROADMAP's millions-of-users metric.
 
 Per epoch the forwarding state for one destination address is a functional
-graph, so all sources sharing a destination are classified in one pass.  With
-numpy available that pass is vectorized pointer doubling (``nxt = nxt[nxt]``
-until every walk is absorbed); without it, a memoized per-source walk
-computes the identical classification.  All accounting is integer packet
-counts from the CBR arithmetic, so results are bit-identical across both
-paths, platforms, and process counts.
+graph, held as that destination's *next-hop vector*: one LPM result per node.
+All sources sharing a destination are classified from the vector by one
+walker that applies :func:`~repro.dataplane.packet.walk_lpm`'s hop and TTL
+rule, with no further LPM lookups.  All accounting is integer packet counts
+from the CBR arithmetic (:func:`~repro.dataplane.traffic.first_index`), so
+results are bit-identical with and without numpy, across platforms and
+across process counts.
 
-Two structural facts keep this O(changes), not O(epochs × flows):
+The evaluator does work in proportion to the forwarding changes that can
+move a flow's fate, not to epochs × flows:
 
-* a destination's fate can change **only** when a prefix containing its
-  address changed at the epoch boundary (:meth:`FibChangeLog.multi_epochs`
-  reports exactly that set), so classifications are cached and epochs with
-  no relevant change extend the current constant-fate *segment*;
-* CBR counting is an index difference, so per-flow counts over a merged
-  segment equal the sum of its per-epoch counts exactly — accounting can
-  happen once per segment (vectorized over every flow at once with numpy)
-  with bit-identical totals.
+* :meth:`FibChangeLog.multi_epochs` reports the ``(node, prefix)`` pairs
+  written at each epoch boundary.  Only that node's hop can have moved, and
+  only for the destinations the prefix covers (a fixed set per prefix, read
+  once from an inverted destination index), so a pair costs one LPM lookup
+  per covered destination;
+* a destination is reclassified only when its next-hop vector really moved,
+  and classifications are memoized by (vector, source set), so the memo is
+  bounded by the number of distinct forwarding graphs, not destinations;
+* CBR counting is an index difference, so per-flow counts telescope exactly
+  over any partition of the window: a destination (totals mode) or the
+  whole matrix (epoch-rows mode) is accounted only when some fate actually
+  changes — once per constant-fate segment — with bit-identical totals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from itertools import chain
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import AnalysisError
 from ..prefixes import ADDRESS_BITS, PrefixSpec, parse_prefix
 from ..prefixes.trie import RadixTrie
-from .fib import FibChangeLog, MultiPrefixFib
-from .packet import DEFAULT_TTL, PacketFate, walk_lpm
-from .traffic import TrafficMatrix
-
-_parse_spec = lru_cache(maxsize=None)(parse_prefix)
+from .fib import Destination, FibChangeLog, MultiPrefixFib, Prefix
+from .packet import DEFAULT_TTL
+from .traffic import TrafficMatrix, first_index
 
 try:  # numpy is optional: the pure-python path is exactly equivalent.
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised on numpy-free installs
     _np = None
 
+# Fate codes double as indices into a [delivered, blackholed, looped] tally.
 _DELIVERED = 0
 _BLACKHOLED = 1
 _LOOPED = 2
+
+Vector = Tuple[Optional[int], ...]
+"""One destination's next hop at every node, in ``_nodes`` order."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,24 +137,25 @@ class TrafficMatrixEvaluator:
     matrix:
         The offered demand.
     ttl:
-        Initial TTL.  The vectorized path requires ``ttl`` to exceed the
-        node count (so cycle membership and TTL death coincide); epochs
-        violating that fall back to the walk-based path automatically.
+        Initial TTL.  With ``ttl`` at least the node count, TTL death
+        coincides with cycle membership; below it a packet can also die of
+        sheer path length, which the walker reproduces hop by hop.
     use_numpy:
         ``None`` (default) uses numpy when importable; ``False`` forces the
-        pure-python path; ``True`` raises if numpy is missing.  Both paths
-        produce identical classifications — the switch exists for the
+        pure-python path; ``True`` raises if numpy is missing.  numpy only
+        vectorizes the whole-matrix packet counts of epoch-rows mode; both
+        paths produce identical integers — the switch exists for the
         equivalence tests and numpy-free installs.
     epoch_rows:
         ``True`` (default) collects one :class:`EpochTraffic` row per
-        constant-fate segment, which costs one whole-matrix accounting
-        pass per segment — O(segments × flows), quadratic in population
-        at routing-table scale since both factors grow with the prefix
-        count.  ``False`` switches to per-destination segment accounting:
-        the report's totals (and every derived fraction) are bit-identical
-        — per-flow CBR counts telescope exactly across any partition of
-        the window — but ``report.epoch_rows`` stays empty.  Use for 10k+
-        prefix populations where per-epoch detail is not worth O(P²).
+        constant-fate segment of the whole matrix — a row closes only where
+        some flow's fate changes — which costs one whole-matrix accounting
+        pass per row.  ``False`` accounts each destination separately, only
+        when its own fates change: the report's totals (and every derived
+        fraction) are bit-identical — per-flow CBR counts telescope exactly
+        across any partition of the window — but ``report.epoch_rows``
+        stays empty.  Use for 10k+ prefix populations where per-row detail
+        is not worth O(rows × flows).
     """
 
     def __init__(
@@ -159,6 +168,8 @@ class TrafficMatrixEvaluator:
     ) -> None:
         if not matrix.flows:
             raise AnalysisError("traffic matrix has no flows")
+        if ttl < 1:
+            raise AnalysisError(f"ttl must be >= 1, got {ttl}")
         if use_numpy and _np is None:
             raise AnalysisError("numpy requested but not importable")
         self._log = log
@@ -168,55 +179,45 @@ class TrafficMatrixEvaluator:
         self._epoch_rows = bool(epoch_rows)
         # Group flows by destination once: all flows to one address share a
         # functional graph per epoch and classify together.
-        self._by_destination: Dict[Union[int, str], List] = {}
+        self._flows_of: Dict[Destination, List] = {}
         for flow in matrix.flows:
-            self._by_destination.setdefault(flow.destination, []).append(flow)
-        self._destinations = list(self._by_destination)
-        self._sources_of = {
-            dest: [f.source for f in flows]
-            for dest, flows in self._by_destination.items()
+            self._flows_of.setdefault(flow.destination, []).append(flow)
+        self._destinations = list(self._flows_of)
+        # Destinations whose flows come from the same sources share one
+        # memo entry per forwarding graph.
+        self._sources_of: Dict[Destination, Tuple[int, ...]] = {
+            dest: tuple(flow.source for flow in flows)
+            for dest, flows in self._flows_of.items()
         }
-        # Flat flow order (grouped by destination) for whole-matrix
-        # accounting; each destination owns the slice [lo, hi) of it.
-        self._flat_flows = [
-            flow for dest in self._destinations
-            for flow in self._by_destination[dest]
-        ]
-        self._dest_slice: Dict[Union[int, str], Tuple[int, int]] = {}
-        lo = 0
-        for dest in self._destinations:
-            hi = lo + len(self._by_destination[dest])
-            self._dest_slice[dest] = (lo, hi)
-            lo = hi
-        if _np is not None:
-            self._flat_starts = _np.array(
-                [f.start for f in self._flat_flows], dtype=_np.float64
-            )
-            self._flat_rates = _np.array(
-                [f.rate for f in self._flat_flows], dtype=_np.float64
-            )
-        # The node universe for vectorized classification: anywhere a packet
-        # can start or be forwarded through.
+        self._memo: Dict[Tuple[Vector, Tuple[int, ...]], Tuple[int, ...]] = {}
+        if self._numpy and self._epoch_rows:
+            # Flat flow order (grouped by destination, as ``fates`` chains
+            # them) for the whole-matrix counts of one row.
+            flat = [f for dest in self._destinations for f in self._flows_of[dest]]
+            self._flat_starts = _np.array([f.start for f in flat], dtype=_np.float64)
+            self._flat_rates = _np.array([f.rate for f in flat], dtype=_np.float64)
+        # The node universe of the next-hop vectors: anywhere a packet can
+        # start or be forwarded through.
         nodes = {flow.source for flow in matrix.flows}
-        nodes.update(change.node for change in log)
         for change in log:
+            nodes.add(change.node)
             if change.next_hop is not None:
                 nodes.add(change.next_hop)
         self._nodes = sorted(nodes)
         self._node_index = {node: i for i, node in enumerate(self._nodes)}
-        self._flat_fates: List[int] = [_BLACKHOLED] * len(self._flat_flows)
         # Inverted destination index: every integer destination as a /32
-        # radix-trie entry, so "which destinations does this changed prefix
-        # touch?" is a subtree walk (specifics enumeration), not a scan over
-        # every destination.  Opaque destinations match exactly, by name.
-        self._dest_order = {dest: i for i, dest in enumerate(self._destinations)}
-        self._dest_trie = RadixTrie()
-        self._opaque_dests: Dict[str, str] = {}
+        # entry, so "which destinations does this prefix cover?" is one
+        # specifics slice, not a scan.  The answer is fixed per prefix, so
+        # it is asked once per prefix and kept.  Opaque destinations match
+        # exactly, by name.
+        self._dest_index = RadixTrie()
+        self._opaque = set()
         for dest in self._destinations:
             if isinstance(dest, int):
-                self._dest_trie.insert(PrefixSpec(dest, ADDRESS_BITS), dest)
+                self._dest_index.insert(PrefixSpec(dest, ADDRESS_BITS), dest)
             else:
-                self._opaque_dests[dest] = dest
+                self._opaque.add(dest)
+        self._covered: Dict[Prefix, Tuple[Destination, ...]] = {}
 
     # ------------------------------------------------------------------
 
@@ -229,288 +230,194 @@ class TrafficMatrixEvaluator:
             flows=len(self._matrix.flows),
             prefixes=len(self._matrix.prefixes()),
         )
-        if not self._epoch_rows:
-            return self._evaluate_totals(report, start, end)
-        segment: Optional[List[float]] = None
-        classified = False
-        for t0, t1, fib, changed in self._log.multi_epochs(start, end):
-            if not classified:
-                self._reclassify(fib, self._destinations)
-                classified = True
-                segment = [t0, t1]
-                continue
-            invalid = self._invalidated(changed)
-            if invalid:
-                assert segment is not None
-                self._flush_segment(report, segment[0], segment[1])
-                self._reclassify(fib, invalid)
-                segment = [t0, t1]
-            else:
-                assert segment is not None
-                segment[1] = t1
-        if segment is not None:
-            self._flush_segment(report, segment[0], segment[1])
-        return report
-
-    def _evaluate_totals(
-        self, report: TrafficReport, start: float, end: float
-    ) -> TrafficReport:
-        """Totals-only evaluation with per-destination segments.
-
-        Instead of closing a whole-matrix segment whenever *any*
-        destination reclassifies, each destination carries its own segment
-        start and is accounted only when *it* reclassifies (and once at the
-        end).  Per-flow CBR counts telescope exactly across partitions of
-        the window, so the report totals are bit-identical to the
-        epoch-row path; only the per-epoch rows are not materialized.
-        """
-        segment_start: Dict[Union[int, str], float] = {}
-        classified = False
+        # Before the first epoch every FIB is empty: every vector is all
+        # "no route" and every flow is blackholed.  The first epoch's
+        # changed pairs are everything applied at or before ``start``.
+        empty = (None,) * len(self._nodes)
+        vectors: Dict[Destination, Vector] = dict.fromkeys(self._destinations, empty)
+        fates = {dest: self._fates_of(empty, dest) for dest in self._destinations}
+        tally = [0, 0, 0]
+        opened = start  # epoch-rows mode: start of the open row
+        since = dict.fromkeys(self._destinations, start)  # totals mode
+        evaluated = False
         for t0, _t1, fib, changed in self._log.multi_epochs(start, end):
-            if not classified:
-                self._reclassify(fib, self._destinations)
-                classified = True
-                for dest in self._destinations:
-                    segment_start[dest] = t0
+            evaluated = True
+            moved = []
+            for dest in self._moved_vectors(fib, changed, vectors):
+                new = self._fates_of(vectors[dest], dest)
+                if new != fates[dest]:
+                    moved.append((dest, new))
+            if not moved:
                 continue
-            invalid = self._invalidated(changed)
-            if invalid:
-                for dest in invalid:
-                    self._flush_destination(report, dest, segment_start[dest], t0)
-                    segment_start[dest] = t0
-                self._reclassify(fib, invalid)
-        if classified:
-            for dest in self._destinations:
-                self._flush_destination(report, dest, segment_start[dest], end)
+            if not self._epoch_rows:
+                for dest, _new in moved:
+                    if any(fates[dest]) and t0 > since[dest]:
+                        self._account(tally, dest, fates[dest], since[dest], t0)
+                    since[dest] = t0
+            elif t0 > opened:
+                self._close_row(report, tally, fates, opened, t0)
+                opened = t0
+            for dest, new in moved:
+                fates[dest] = new
+        if not evaluated:
+            return report
+        if self._epoch_rows:
+            self._close_row(report, tally, fates, opened, end)
+            report.offered = sum(tally)
+            report.delivered, report.blackholed, report.looped = tally
+            return report
+        # Totals mode accounts only segments in which some flow was not
+        # delivered; per-flow counts telescope, so delivered traffic is
+        # exactly what the whole window offered minus the rest.
+        for dest in self._destinations:
+            if any(fates[dest]):
+                self._account(tally, dest, fates[dest], since[dest], end)
+        report.offered = sum(f.count_in(start, end) for f in self._matrix.flows)
+        report.blackholed, report.looped = tally[_BLACKHOLED], tally[_LOOPED]
+        report.delivered = report.offered - report.blackholed - report.looped
         return report
 
-    def _flush_destination(
-        self, report: TrafficReport, dest: Union[int, str], t0: float, t1: float
-    ) -> None:
-        """Account one destination's flows over ``[t0, t1)`` (totals only)."""
-        lo, hi = self._dest_slice[dest]
-        for index in range(lo, hi):
-            count = self._flat_flows[index].count_in(t0, t1)
-            if not count:
+    # ------------------------------------------------------------------
+    # Change propagation: (node, prefix) pairs -> moved vectors -> fates
+    # ------------------------------------------------------------------
+
+    def _moved_vectors(
+        self,
+        fib: MultiPrefixFib,
+        changed: Sequence[Tuple[int, Prefix]],
+        vectors: Dict[Destination, Vector],
+    ) -> Dict[Destination, None]:
+        """Re-resolve the hops ``changed`` can move; the destinations whose
+        vector really moved, in first-moved order.
+
+        Exact, not heuristic: ``fib.next_hop(node, address)`` can only move
+        when an entry at ``node`` for a prefix *containing* the address
+        (structured) or equal to it (opaque legacy name) was written."""
+        moved: Dict[Destination, None] = {}
+        for node, prefix in changed:
+            covered = self._covered.get(prefix)
+            if covered is None:
+                covered = self._covered[prefix] = self._covered_by(prefix)
+            if not covered:
                 continue
-            report.offered += count
-            fate = self._flat_fates[index]
-            if fate == _DELIVERED:
-                report.delivered += count
-            elif fate == _BLACKHOLED:
-                report.blackholed += count
-            else:
-                report.looped += count
+            i = self._node_index[node]
+            for dest in covered:
+                hop = fib.next_hop(node, dest)
+                vector = vectors[dest]
+                if vector[i] != hop:
+                    vectors[dest] = vector[:i] + (hop,) + vector[i + 1:]
+                    moved[dest] = None
+        return moved
+
+    def _covered_by(self, prefix: Prefix) -> Tuple[Destination, ...]:
+        spec = parse_prefix(prefix)
+        if spec is None:
+            return (prefix,) if prefix in self._opaque else ()
+        return tuple(dest for _spec, dest in self._dest_index.covered(spec))
+
+    def _fates_of(self, vector: Vector, dest: Destination) -> Tuple[int, ...]:
+        """Fate codes of ``dest``'s flows, in flow order, under ``vector``."""
+        sources = self._sources_of[dest]
+        fates = self._memo.get((vector, sources))
+        if fates is None:
+            fates = self._memo[(vector, sources)] = self._walk(vector, sources)
+        return fates
+
+    def _walk(self, vector: Vector, sources: Tuple[int, ...]) -> Tuple[int, ...]:
+        """Classify a packet from each source with ``walk_lpm``'s rule.
+
+        Each hop reads the vector instead of an LPM table; a revisit means
+        a cycle, and ``hops > ttl`` is TTL death.  With ``ttl`` at least the
+        node count a revisit always comes first, so a walk's fate is a
+        property of the graph alone and propagates to every node on its
+        trail (every node feeding a cycle spins with it); below that, TTL
+        can die of sheer path length and each source walks on its own.
+        """
+        index = self._node_index
+        ttl = self._ttl
+        settled: Optional[Dict[int, int]] = {} if ttl >= len(vector) else None
+        fates = []
+        for source in sources:
+            node = source
+            hops = 0
+            trail: Dict[int, None] = {}
+            while True:
+                if settled is not None and node in settled:
+                    fate = settled[node]
+                    break
+                hop = vector[index[node]]
+                if hop == node:
+                    fate = _DELIVERED
+                    break
+                if hop is None:
+                    fate = _BLACKHOLED
+                    break
+                hops += 1
+                if hops > ttl:
+                    fate = _LOOPED
+                    break
+                trail[node] = None
+                node = hop
+                if node in trail:
+                    fate = _LOOPED
+                    break
+            if settled is not None:
+                settled[node] = fate
+                for walked in trail:
+                    settled[walked] = fate
+            fates.append(fate)
+        return tuple(fates)
 
     # ------------------------------------------------------------------
-    # Segment machinery: cached fates, invalidation, exact accounting
+    # Exact accounting: CBR counts telescope over constant-fate segments
     # ------------------------------------------------------------------
 
-    def _invalidated(
-        self, changed: FrozenSet
-    ) -> List[Union[int, str]]:
-        """Destinations whose LPM resolution could differ after ``changed``.
-
-        Exact, not heuristic: a destination's functional graph reads
-        ``fib.next_hop(node, address)`` at every node, which can only move
-        when a changed prefix *contains* the address (structured) or equals
-        it (opaque legacy name)."""
-        if not changed:
-            return []
-        touched: Set[Union[int, str]] = set()
-        for prefix in changed:
-            spec = _parse_spec(prefix)
-            if spec is None:
-                dest = self._opaque_dests.get(prefix)
-                if dest is not None:
-                    touched.add(dest)
-            else:
-                # Subtree walk over the /32 destination entries the changed
-                # prefix covers — O(hits), not O(destinations).
-                for _spec, dest in self._dest_trie.covered(spec):
-                    touched.add(dest)
-        return sorted(touched, key=self._dest_order.__getitem__)
-
-    def _reclassify(
-        self, fib: MultiPrefixFib, destinations: Sequence[Union[int, str]]
+    def _account(
+        self,
+        tally: List[int],
+        dest: Destination,
+        fates: Tuple[int, ...],
+        t0: float,
+        t1: float,
     ) -> None:
-        for dest in destinations:
-            fates = self._classify(fib, dest, self._sources_of[dest])
-            lo, _hi = self._dest_slice[dest]
-            for offset, fate in enumerate(fates):
-                self._flat_fates[lo + offset] = fate
+        """Add ``dest``'s packets over ``[t0, t1)`` to ``tally`` by fate."""
+        for flow, fate in zip(self._flows_of[dest], fates):
+            tally[fate] += flow.count_in(t0, t1)
 
-    def _flush_segment(
-        self, report: TrafficReport, t0: float, t1: float
+    def _close_row(
+        self,
+        report: TrafficReport,
+        tally: List[int],
+        fates: Dict[Destination, Tuple[int, ...]],
+        t0: float,
+        t1: float,
     ) -> None:
-        """Account ``[t0, t1)`` under the current (constant) classification.
-
-        Per-flow counts over a merged segment telescope to the sum of its
-        per-epoch counts (CBR counting is a first-index difference), so
-        this is bit-identical to per-epoch accounting."""
-        offered = delivered = blackholed = looped = 0
+        """Account the whole matrix over ``[t0, t1)`` as one epoch row."""
         if self._numpy:
             counts = self._counts_vector(t0, t1)
-            fates = _np.array(self._flat_fates, dtype=_np.int64)
-            offered = int(counts.sum())
-            if offered:
-                delivered = int(counts[fates == _DELIVERED].sum())
-                blackholed = int(counts[fates == _BLACKHOLED].sum())
-                looped = offered - delivered - blackholed
+            codes = _np.fromiter(
+                chain.from_iterable(fates[d] for d in self._destinations),
+                dtype=_np.int64,
+                count=len(counts),
+            )
+            row = [int(counts[codes == fate].sum()) for fate in range(3)]
         else:
-            for flow, fate in zip(self._flat_flows, self._flat_fates):
-                count = flow.count_in(t0, t1)
-                if not count:
-                    continue
-                offered += count
-                if fate == _DELIVERED:
-                    delivered += count
-                elif fate == _BLACKHOLED:
-                    blackholed += count
-                else:
-                    looped += count
-        report.offered += offered
-        report.delivered += delivered
-        report.blackholed += blackholed
-        report.looped += looped
-        report.epoch_rows.append(
-            EpochTraffic(t0, t1, offered, delivered, blackholed, looped)
-        )
+            row = [0, 0, 0]
+            for dest in self._destinations:
+                self._account(row, dest, fates[dest], t0, t1)
+        for fate in range(3):
+            tally[fate] += row[fate]
+        report.epoch_rows.append(EpochTraffic(t0, t1, sum(row), *row))
 
     def _counts_vector(self, t0: float, t1: float):
-        """Vectorized :meth:`CbrSource.count_in` over every flow at once.
+        """:meth:`Flow.count_in` over every flow at once.
 
-        Replicates the scalar arithmetic operation for operation (same
-        float64 subtraction/multiply/ceil, same epsilon), so each element
-        equals ``flow.count_in(t0, t1)`` bitwise."""
+        Runs :func:`~repro.dataplane.traffic.first_index` elementwise, so
+        each element equals ``flow.count_in(t0, t1)`` bitwise."""
 
-        def first_index(time: float):
-            raw = _np.ceil(
-                (time - self._flat_starts) * self._flat_rates - 1e-12
-            )
-            return _np.where(
-                time <= self._flat_starts, 0.0, raw
+        def index(time: float):
+            return first_index(
+                time, self._flat_starts, self._flat_rates, _np.ceil, _np.maximum
             ).astype(_np.int64)
 
-        return _np.maximum(first_index(t1) - first_index(t0), 0)
-
-    # ------------------------------------------------------------------
-    # Classification backends
-    # ------------------------------------------------------------------
-
-    def _classify(
-        self, fib: MultiPrefixFib, destination: Union[int, str], sources: List[int]
-    ) -> List[int]:
-        # Vectorization has fixed per-call numpy overhead; on small graphs
-        # the memoized walks win.  Both backends produce the identical
-        # classification (pinned by the equivalence tests), so the cutover
-        # is a pure performance knob.
-        n = len(self._nodes)
-        if self._numpy and self._ttl >= n and n >= 16:
-            return self._classify_vectorized(fib, destination, sources)
-        return self._classify_walks(fib, destination, sources)
-
-    def _classify_walks(
-        self, fib: MultiPrefixFib, destination: Union[int, str], sources: List[int]
-    ) -> List[int]:
-        if self._ttl < len(self._nodes):
-            # TTL can die of sheer path length; only the full hop-by-hop
-            # walk reproduces that fate exactly.
-            return self._classify_walks_ttl(fib, destination, sources)
-        # ttl >= node count: TTL death coincides with cycle membership, so
-        # one memoized walk classifies every node it touches.  Each trail's
-        # terminal fate (delivered / no-route / entered-a-cycle / reached an
-        # already-classified node) propagates to the whole trail — every
-        # node feeding a cycle spins with it.
-        fate_of: Dict[int, int] = {}
-        fates = []
-        for source in sources:
-            fate = fate_of.get(source)
-            if fate is None:
-                trail = []
-                on_trail: Dict[int, None] = {}
-                node = source
-                while True:
-                    fate = fate_of.get(node)
-                    if fate is not None:
-                        break
-                    hop = fib.next_hop(node, destination)
-                    if hop == node:
-                        fate = _DELIVERED
-                        trail.append(node)
-                        break
-                    if hop is None:
-                        fate = _BLACKHOLED
-                        trail.append(node)
-                        break
-                    if hop in on_trail:
-                        fate = _LOOPED
-                        trail.append(node)
-                        break
-                    on_trail[node] = None
-                    trail.append(node)
-                    node = hop
-                for walked in trail:
-                    fate_of[walked] = fate
-            fates.append(fate)
-        return fates
-
-    def _classify_walks_ttl(
-        self, fib: MultiPrefixFib, destination: Union[int, str], sources: List[int]
-    ) -> List[int]:
-        cache: Dict[int, int] = {}
-        fates = []
-        for source in sources:
-            fate = cache.get(source)
-            if fate is None:
-                result = walk_lpm(fib, source, destination, self._ttl)
-                if result.fate is PacketFate.DELIVERED:
-                    fate = _DELIVERED
-                elif result.fate is PacketFate.DROPPED_NO_ROUTE:
-                    fate = _BLACKHOLED
-                else:
-                    fate = _LOOPED
-                cache[source] = fate
-            fates.append(fate)
-        return fates
-
-    def _classify_vectorized(
-        self, fib: MultiPrefixFib, destination: Union[int, str], sources: List[int]
-    ) -> List[int]:
-        """Pointer-doubling classification of every node at once.
-
-        Index ``n`` is a sink sentinel ("no route"); delivery nodes and the
-        sentinel are absorbing self-loops, so after ``2**k >= n`` doubled
-        hops every walk rests at its delivery node, at the sentinel, or
-        inside a forwarding cycle.  Requires ``ttl >= n`` (checked by the
-        caller) so "inside a cycle" and "TTL death" coincide with
-        :func:`~repro.dataplane.packet.walk_lpm`.
-        """
-        n = len(self._nodes)
-        nxt = _np.full(n + 1, n, dtype=_np.int64)
-        delivers = _np.zeros(n + 1, dtype=bool)
-        for i, node in enumerate(self._nodes):
-            hop = fib.next_hop(node, destination)
-            if hop is None:
-                continue
-            if hop == node:
-                nxt[i] = i
-                delivers[i] = True
-            else:
-                nxt[i] = self._node_index.get(hop, n)
-        steps = 1
-        while steps < n:
-            nxt = nxt[nxt]
-            steps *= 2
-        final = nxt
-        fates = []
-        for source in sources:
-            i = self._node_index[source]
-            f = int(final[i])
-            if f < n and delivers[f]:
-                fates.append(_DELIVERED)
-            elif f == n:
-                fates.append(_BLACKHOLED)
-            else:
-                fates.append(_LOOPED)
-        return fates
+        return _np.maximum(index(t1) - index(t0), 0)

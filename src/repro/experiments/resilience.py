@@ -50,6 +50,7 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import random
+import signal
 import time
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
@@ -241,7 +242,14 @@ def _worker_main(conn, worker_fn, supervisor_pid: int, inherited) -> None:
     worker whose supervisor died gets EPIPE instead of blocking on a full
     pipe nobody reads, and while idle it checks that the supervisor is
     still its parent and exits once it is not.
+
+    A forked worker also inherits the supervisor's Python signal
+    handlers, such as the checkpointing ones of ``SweepJournal.guarded()``;
+    a Ctrl-C to the process group would make every worker write the
+    supervisor's journal.  SIGINT and SIGTERM go back to their defaults.
     """
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     for other in inherited:
         other.close()
     while True:

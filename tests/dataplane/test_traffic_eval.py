@@ -1,9 +1,9 @@
 """The traffic-matrix evaluator: seeded matrices, LPM walks, backend parity.
 
-The load-bearing contract: the vectorized (numpy pointer-doubling) and
-pure-python (memoized ``walk_lpm``) classification backends are *bit
-identical* — same integer packet counts, same fractions — so a run's digest
-does not depend on whether numpy is importable.
+The load-bearing contract: the numpy (vectorized per-row packet counts) and
+pure-python accounting paths are *bit identical* — same integer packet
+counts, same fractions — so a run's digest does not depend on whether numpy
+is importable.
 """
 
 import pytest
@@ -208,7 +208,8 @@ class TestEvaluator:
     @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not importable")
     def test_small_ttl_falls_back_to_walks(self):
         log, matrix = scripted_log(), matrix_for_log()
-        # ttl=2 < node count disables the vectorized path even with numpy.
+        # ttl=2 < node count: packets can die of path length, so the
+        # walker classifies each source on its own.
         fast = TrafficMatrixEvaluator(
             log, matrix, ttl=2, use_numpy=True
         ).evaluate(0.0, 3.0)

@@ -112,3 +112,11 @@ def record_pid_then_sleep(task, pid_dir="", sleep_s=0.1):
     (Path(pid_dir) / str(os.getpid())).touch()
     time.sleep(sleep_s)
     return os.getpid()
+
+
+def report_signal_handlers(task):
+    """The worker's SIGINT and SIGTERM dispositions, as handler names."""
+    return tuple(
+        getattr(signal.getsignal(signum), "name", "python-handler")
+        for signum in (signal.SIGINT, signal.SIGTERM)
+    )

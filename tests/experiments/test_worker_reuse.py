@@ -21,6 +21,7 @@ from repro.errors import WorkerCrashError
 from repro.experiments import (
     ResiliencePolicy,
     RunSettings,
+    SweepJournal,
     TrialTask,
     clique_tdown_trial,
     constant_config,
@@ -95,6 +96,20 @@ class TestWorkerReuse:
         with pytest.raises(WorkerCrashError) as excinfo:
             run_tasks_supervised(make_tasks(4), 2, worker_fn=worker_fn)
         assert excinfo.value.exitcode == -signal.SIGKILL
+
+
+class TestWorkerSignals:
+    def test_workers_reset_the_journal_signal_guard(self, tmp_path):
+        """Forked workers must not inherit the supervisor's checkpointing
+        SIGINT/SIGTERM handlers, or a Ctrl-C to the process group would
+        make every worker write the supervisor's journal."""
+        journal = SweepJournal(tmp_path / "j.jsonl")
+        journal.load()
+        with journal.guarded():
+            outcomes, _report = run_tasks_supervised(
+                make_tasks(2), 2, worker_fn=chaos_helpers.report_signal_handlers
+            )
+        assert set(outcomes.values()) == {("SIG_DFL", "SIG_DFL")}
 
 
 DRIVER = """\

@@ -23,17 +23,19 @@ SRC_DIR = Path(__file__).resolve().parents[2] / "src"
 class DaemonHarness:
     """One ``repro serve`` child bound to one state directory."""
 
-    def __init__(self, state_dir, bench_interval=None) -> None:
+    def __init__(self, state_dir, bench_interval=None, launcher=None) -> None:
         self.state_dir = Path(state_dir)
         self.bench_interval = bench_interval
+        self.launcher = launcher
+        """A script run instead of ``-m repro`` (same arguments), or None."""
         self.process = None
         self.client = ServiceClient(self.state_dir, timeout=120.0)
 
     def start(self, wait: bool = True) -> "DaemonHarness":
+        entry = ["-m", "repro"] if self.launcher is None else [str(self.launcher)]
         command = [
             sys.executable,
-            "-m",
-            "repro",
+            *entry,
             "serve",
             "--state",
             str(self.state_dir),

@@ -2,6 +2,7 @@
 socket, real client — exactly what a user runs."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -14,9 +15,21 @@ from daemon_harness import DaemonHarness
 TINY_SWEEP = {"kind": "sweep", "params": {"family": "tdown", "xs": [3.0]}}
 
 
+HELD_SERVE = Path(__file__).resolve().parent / "held_serve.py"
+
+
 @pytest.fixture
 def daemon(tmp_path):
     harness = DaemonHarness(tmp_path / "state").start()
+    yield harness
+    harness.stop()
+
+
+@pytest.fixture
+def held_daemon(tmp_path):
+    """A daemon whose jobs wait after their first trial until cancelled,
+    so a cancel always lands while the sweep still has trials to run."""
+    harness = DaemonHarness(tmp_path / "state", launcher=HELD_SERVE).start()
     yield harness
     harness.stop()
 
@@ -60,7 +73,8 @@ class TestProtocolOps:
         with pytest.raises(ServiceError, match="unknown job"):
             daemon.client.cancel("job-99")
 
-    def test_cancel_running_job(self, daemon):
+    def test_cancel_running_job(self, held_daemon):
+        daemon = held_daemon
         job = daemon.client.submit(
             {
                 "kind": "sweep",
@@ -116,7 +130,8 @@ class TestCliVerbs:
         out = capsys.readouterr().out
         assert code == 0 and "finished: done" in out
 
-    def test_cancel_verb(self, daemon, capsys):
+    def test_cancel_verb(self, held_daemon, capsys):
+        daemon = held_daemon
         state = str(daemon.state_dir)
         job = daemon.client.submit(
             {
